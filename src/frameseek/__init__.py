@@ -23,7 +23,7 @@ from .global_query import (GlobalQueryConfig, global_rank, hamming_score,
                            probe_candidates)
 from .local_index import (LocalIndex, LocalPosting, LocalRecord,
                           build_local_index, encode_frame_local)
-from .local_query import (HoughConfig, MatchCandidate, PQScoreTable,
+from .local_query import (HoughConfig, Matches, PQScoreTable,
                           QueryPosting, collect_matches, encode_query_local,
                           hough_verify, local_rank, pq_score,
                           pq_score_asymmetric, query_score_mass)

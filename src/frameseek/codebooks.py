@@ -15,6 +15,9 @@ import numpy as np
 from .bits import hamming_cross, hamming_to_many, pack_bits, unpack_bits
 
 VARIANCE_FLOOR = 1e-6
+# Rows per block in nearest-center assignment: the (rows, k) float64 distance
+# block, not an (n, k) matrix, bounds its memory.
+ASSIGN_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -160,6 +163,26 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center of each row (lowest index on ties) and its squared
+    distance, computed over blocks of at most ASSIGN_BLOCK_ROWS rows.
+
+    The blocks are of near-equal size rather than full blocks plus a short
+    tail: BLAS rounds a product of a few rows differently from the same rows
+    inside a larger product, and near-equal blocks keep every block large.
+    """
+    n = points.shape[0]
+    n_blocks = max(1, -(-n // ASSIGN_BLOCK_ROWS))
+    assign = np.empty(n, dtype=np.int64)
+    nearest = np.empty(n, dtype=np.float64)
+    for b in range(n_blocks):
+        lo, hi = b * n // n_blocks, (b + 1) * n // n_blocks
+        d2 = _squared_distances(points[lo:hi], centers)
+        assign[lo:hi] = np.argmin(d2, axis=1)
+        nearest[lo:hi] = d2[np.arange(hi - lo), assign[lo:hi]]
+    return assign, nearest
+
+
 def _plusplus_seeds(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted random seeding: probability proportional to squared
     distance to the nearest already-chosen seed."""
@@ -202,9 +225,8 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
     centers = _plusplus_seeds(samples, k, rng)
     trace = []
     for _ in range(max(1, iters)):
-        d2 = _squared_distances(samples, centers)
-        assign = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(samples.shape[0]), assign].sum()))
+        assign, nearest = _nearest_centers(samples, centers)
+        trace.append(float(nearest.sum()))
         counts = np.bincount(assign, minlength=k)
         sums = np.zeros_like(centers)
         np.add.at(sums, assign, samples)
@@ -214,8 +236,7 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
         if empties.size:
             # re-seed from the farthest points, skipping duplicate rows so two
             # empty slots never land on the same coordinates
-            farthest = iter(np.argsort(-d2[np.arange(samples.shape[0]), assign],
-                                       kind="stable"))
+            farthest = iter(np.argsort(-nearest, kind="stable"))
             taken: set[bytes] = set()
             for slot in empties:
                 for point_idx in farthest:
@@ -246,7 +267,7 @@ def kmeans_assign_batch(model: KMeansModel, vectors: np.ndarray) -> tuple[np.nda
     if vectors.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: vectors have {vectors.shape[1]} dims, model expects {model.d}")
     centers = model.centers.astype(np.float64)
-    words = np.argmin(_squared_distances(vectors, centers), axis=1).astype(np.int64)
+    words, _ = _nearest_centers(vectors, centers)
     return words, vectors - centers[words]
 
 
@@ -369,7 +390,7 @@ def gmm_train(samples: np.ndarray, n_components: int, iters: int = 50, seed: int
 
     km = kmeans_train(samples, n_components, iters=10, seed=seed)
     means = km.centers.astype(np.float64).copy()
-    assign = np.argmin(_squared_distances(samples, means), axis=1)
+    assign, _ = _nearest_centers(samples, means)
     weights = np.maximum(np.bincount(assign, minlength=n_components).astype(np.float64), 1.0)
     weights /= weights.sum()
     global_var = np.maximum(samples.var(axis=0), VARIANCE_FLOOR)

@@ -1,4 +1,4 @@
-"""Local channel query path: PQ scoring, candidate collection, Hough voting.
+"""Local channel query path: PQ scoring, match collection, Hough voting.
 
 A query keypoint matches reference postings under the same coarse word whose
 normalized PQ similarity exceeds tau_pq; surviving matches are weighted by
@@ -9,7 +9,7 @@ over their frames.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,20 +55,24 @@ class QueryPosting:
 
 
 @dataclass
-class MatchCandidate:
-    """A surviving query-to-reference keypoint match."""
+class Matches:
+    """Surviving query-to-reference keypoint matches as equal-length columns,
+    one row per match, in ascending query keypoint order."""
 
-    frame_id: int
-    query_index: int
-    score: float  # idf-weighted hard similarity, > 0
-    qx: float
-    qy: float
-    qtheta: float
-    qlog_scale: float
-    rx: float
-    ry: float
-    rtheta: float
-    rlog_scale: float
+    frame: np.ndarray  # (n,) reference frame ids
+    query_index: np.ndarray  # (n,) int64 position within the query frame
+    score: np.ndarray  # (n,) float64 idf-weighted hard similarity, > 0
+    qx: np.ndarray  # (n,) float64 query geometry, raw
+    qy: np.ndarray
+    qtheta: np.ndarray
+    qlog_scale: np.ndarray
+    rx: np.ndarray  # (n,) float64 reference geometry, dequantized
+    ry: np.ndarray
+    rtheta: np.ndarray
+    rlog_scale: np.ndarray
+
+    def __len__(self) -> int:
+        return self.frame.shape[0]
 
 
 class PQScoreTable:
@@ -92,13 +96,6 @@ class PQScoreTable:
         for j in range(self.m):
             total += self.tables[j][int(codes_r[j]), int(codes_q[j])]
         return total / self.m
-
-    def score_many(self, codes_r: np.ndarray, codes_q: np.ndarray) -> np.ndarray:
-        """Scores for many reference codes (n, m) against one query code (m,)."""
-        acc = np.zeros(codes_r.shape[0], dtype=np.float64)
-        for j in range(self.m):
-            acc += self.tables[j][codes_r[:, j], int(codes_q[j])]
-        return acc / self.m
 
 
 def pq_score(codes_r: np.ndarray, codes_q: np.ndarray, pq: PQModel | PQScoreTable) -> float:
@@ -147,119 +144,133 @@ def encode_query_local(records: list[LocalRecord], bow: KMeansModel, pq: PQModel
     ]
 
 
-def _asymmetric_scores(posting: QueryPosting, ref_codes: np.ndarray, pq: PQModel) -> np.ndarray:
+def _asymmetric_tables(residuals: np.ndarray, pq: PQModel) -> np.ndarray:
+    """Per-keypoint lookup tables, shape (n_query, m, n_centers): the clipped
+    normalized similarity of each raw residual slice to every sub-center."""
     sub_dim = pq.sub_dim
-    acc = np.zeros(ref_codes.shape[0], dtype=np.float64)
+    luts = np.empty((residuals.shape[0], pq.m, pq.n_centers), dtype=np.float64)
     for j, sub in enumerate(pq.sub_models):
-        r = posting.residual[j * sub_dim:(j + 1) * sub_dim]
-        dist = np.sqrt(np.sum((sub.centers.astype(np.float64) - r) ** 2, axis=1))
-        lut = np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0)
-        acc += lut[ref_codes[:, j]]
-    return acc / pq.m
+        r = residuals[:, None, j * sub_dim:(j + 1) * sub_dim]
+        dist = np.sqrt(np.sum((sub.centers.astype(np.float64) - r) ** 2, axis=2))
+        luts[:, j] = np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0)
+    return luts
 
 
 def collect_matches(query: list[QueryPosting], index: LocalIndex,
                     pq: PQModel | PQScoreTable, tau_pq: float = 0.72,
                     asymmetric: bool = False,
-                    pq_model: PQModel | None = None) -> list[MatchCandidate]:
-    """Scan each query posting's inverted list and keep matches whose PQ
+                    pq_model: PQModel | None = None) -> Matches:
+    """Scan the inverted lists of the query's words and keep matches whose PQ
     similarity exceeds tau_pq, weighted by the word's idf.
 
-    Stopped query words have no postings and are skipped by construction;
-    candidates whose weighted score is not positive are never materialized.
-    Asymmetric mode scores the raw query residual against reference centers
-    (requires postings encoded with keep_residuals=True).
+    The posting ranges of every query keypoint whose word has postings and a
+    positive idf are gathered into one block and scored with m lookup-table
+    gathers, one per subquantizer (IVFADC-style). Stopped words have no
+    postings and are skipped by construction. Asymmetric mode scores the raw
+    query residual against reference centers (requires postings encoded with
+    keep_residuals=True).
     """
     if not 0.0 <= tau_pq < 1.0:
         raise ValueError("tau_pq must be in [0, 1)")
     table = pq if isinstance(pq, PQScoreTable) else PQScoreTable(pq)
     if asymmetric and pq_model is None and isinstance(pq, PQModel):
         pq_model = pq
-    geometry = index.geometry
-    out: list[MatchCandidate] = []
-    for posting in query:
-        arrs = index.postings.get(posting.word)
-        if arrs is None:
-            continue
-        idf = float(index.idf[posting.word])
-        if idf <= 0.0:
-            continue
-        if asymmetric:
-            if posting.residual is None or pq_model is None:
-                raise ValueError("asymmetric scoring needs query residuals and the PQ model")
-            scores = _asymmetric_scores(posting, arrs["codes"], pq_model)
-        else:
-            scores = table.score_many(arrs["codes"], posting.codes)
-        hits = np.flatnonzero(scores > tau_pq)
-        if not hits.size:
-            continue
-        rx, ry = geometry.dequantize_xy(arrs["qx"][hits], arrs["qy"][hits])
-        rtheta = dequantize_theta(arrs["qtheta"][hits])
-        rscale = dequantize_log_scale(arrs["qscale"][hits])
-        frames = arrs["frame"][hits]
-        for pos, hit in enumerate(hits):
-            out.append(MatchCandidate(
-                frame_id=int(frames[pos]), query_index=posting.index,
-                score=idf * float(scores[hit]),
-                qx=posting.x, qy=posting.y, qtheta=posting.theta,
-                qlog_scale=posting.log_scale,
-                rx=float(rx[pos]), ry=float(ry[pos]), rtheta=float(rtheta[pos]),
-                rlog_scale=float(rscale[pos])))
-    return out
+    live = [p for p in query if p.word in index.postings and index.idf[p.word] > 0.0]
+    if not live:
+        return Matches(*(np.empty(0) for _ in fields(Matches)))
+    ranges = [index.postings[p.word] for p in live]
+    row = np.repeat(np.arange(len(live)), [r["frame"].shape[0] for r in ranges])
+    ref_codes = np.concatenate([r["codes"] for r in ranges])
+    if asymmetric:
+        if pq_model is None or any(p.residual is None for p in live):
+            raise ValueError("asymmetric scoring needs query residuals and the PQ model")
+        luts = _asymmetric_tables(np.stack([p.residual for p in live]), pq_model)
+    else:
+        # per-keypoint rows of the code-to-code tables: (n_query, m, n_centers)
+        # stays in cache where the full (m, n_centers, n_centers) tables do not
+        q_codes = np.stack([p.codes for p in live])
+        luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(table.tables)], axis=1)
+    scores = np.zeros(row.shape[0], dtype=np.float64)
+    for j in range(luts.shape[1]):
+        scores += luts[row, j, ref_codes[:, j]]
+    scores /= luts.shape[1]
+
+    hits = np.flatnonzero(scores > tau_pq)
+    row = row[hits]
+
+    def gather(name):
+        return np.concatenate([r[name] for r in ranges])[hits]
+
+    idf = index.idf[[p.word for p in live]].astype(np.float64)
+    rx, ry = index.geometry.dequantize_xy(gather("qx"), gather("qy"))
+    qgeom = np.array([(p.x, p.y, p.theta, p.log_scale) for p in live], dtype=np.float64)[row]
+    return Matches(
+        frame=gather("frame"),
+        query_index=np.array([p.index for p in live], dtype=np.int64)[row],
+        score=idf[row] * scores[hits],
+        qx=qgeom[:, 0], qy=qgeom[:, 1], qtheta=qgeom[:, 2], qlog_scale=qgeom[:, 3],
+        rx=rx, ry=ry, rtheta=dequantize_theta(gather("qtheta")),
+        rlog_scale=dequantize_log_scale(gather("qscale")))
 
 
-def _theta_bin(theta_rel: float, n_bins: int) -> int:
+def _theta_bin(theta_rel, n_bins: int):
     """Modular bin over [-pi, pi) with 0 at a bin center, so a zero rotation
-    under geometry-quantization jitter stays in one bin."""
+    under geometry-quantization jitter stays in one bin. Scalar or array."""
     width = 2.0 * math.pi / n_bins
-    return int(math.floor((theta_rel + math.pi) / width + 0.5)) % n_bins
+    return np.floor((theta_rel + math.pi) / width + 0.5).astype(np.int64) % n_bins
 
 
-def _clipped_bin(value: float, lo: float, hi: float, n_bins: int) -> int:
+def _clipped_bin(value, lo: float, hi: float, n_bins: int):
     """Linear bin, centered so multiples of the width (0 included) fall at
-    bin centers; out-of-range values clip to the boundary bins."""
+    bin centers; out-of-range values clip to the boundary bins. Scalar or
+    array."""
     width = (hi - lo) / n_bins
-    pos = int(math.floor((value - lo) / width + 0.5))
-    return min(max(pos, 0), n_bins - 1)
+    pos = np.floor((value - lo) / width + 0.5)
+    return np.minimum(np.maximum(pos, 0), n_bins - 1).astype(np.int64)
 
 
-def hough_verify(candidates: list[MatchCandidate], cfg: HoughConfig | None = None,
+def hough_verify(matches: Matches, cfg: HoughConfig | None = None,
                  query_diagonal: float | None = None) -> dict[int, float]:
     """Score every reference frame by its dominant 4-dof transform bin.
 
-    Each candidate votes its score into the joint (rotation difference,
-    log2 scale ratio, normalized translation) bin implied by its query and
-    reference geometry; a query keypoint contributes at most its best
-    candidate per (frame, bin), which stops repeated structures from
-    stacking votes. A frame's score is its highest bin total, so it never
-    exceeds the frame's total candidate mass and reaches it only when all
-    candidates agree on one transform.
+    Each match votes its score into the joint (rotation difference, log2
+    scale ratio, normalized translation) bin implied by its query and
+    reference geometry; a query keypoint contributes at most its best match
+    per (frame, bin), which stops repeated structures from stacking votes. A
+    frame's score is its highest bin total, so it never exceeds the frame's
+    total match mass and reaches it only when all matches agree on one
+    transform.
     """
     cfg = cfg or HoughConfig()
     diag = query_diagonal if query_diagonal is not None else FrameGeometry().diagonal
-    # frame -> bin -> {query keypoint -> best score}; dicts keep insertion
-    # order so bin totals accumulate in keypoint order, deterministically
-    acc: dict[int, dict[tuple[int, int, int], dict[int, float]]] = {}
-    for c in candidates:
-        theta_rel = float(wrap_angle(c.qtheta - c.rtheta))
-        log_ratio = c.qlog_scale - c.rlog_scale
-        scale = 2.0 ** log_ratio
-        cos_t, sin_t = math.cos(theta_rel), math.sin(theta_rel)
-        tx = c.qx - scale * (cos_t * c.rx - sin_t * c.ry)
-        ty = c.qy - scale * (sin_t * c.rx + cos_t * c.ry)
-        trans_stat = (tx + ty) / (scale * diag)
-        key = (
-            _theta_bin(theta_rel, cfg.n_theta_bins),
-            _clipped_bin(log_ratio, cfg.scale_range[0], cfg.scale_range[1], cfg.n_scale_bins),
-            _clipped_bin(trans_stat, cfg.trans_range[0], cfg.trans_range[1], cfg.n_trans_bins),
-        )
-        per_bin = acc.setdefault(c.frame_id, {}).setdefault(key, {})
-        if c.score > per_bin.get(c.query_index, 0.0):
-            per_bin[c.query_index] = c.score
-    return {
-        frame: max(sum(best.values()) for best in bins.values())
-        for frame, bins in acc.items()
-    }
+    if not len(matches):
+        return {}
+    theta_rel = wrap_angle(matches.qtheta - matches.rtheta)
+    log_ratio = matches.qlog_scale - matches.rlog_scale
+    scale = np.power(2.0, log_ratio)
+    cos_t, sin_t = np.cos(theta_rel), np.sin(theta_rel)
+    tx = matches.qx - scale * (cos_t * matches.rx - sin_t * matches.ry)
+    ty = matches.qy - scale * (sin_t * matches.rx + cos_t * matches.ry)
+    trans_stat = (tx + ty) / (scale * diag)
+    key = ((_theta_bin(theta_rel, cfg.n_theta_bins) * cfg.n_scale_bins
+            + _clipped_bin(log_ratio, *cfg.scale_range, cfg.n_scale_bins)) * cfg.n_trans_bins
+           + _clipped_bin(trans_stat, *cfg.trans_range, cfg.n_trans_bins))
+
+    order = np.lexsort((matches.query_index, key, matches.frame))
+    frame, key, qidx = matches.frame[order], key[order], matches.query_index[order]
+    # rows that start a frame, a (frame, bin) and a (frame, bin, keypoint)
+    new_frame = np.ones(frame.shape[0], dtype=bool)
+    new_frame[1:] = frame[1:] != frame[:-1]
+    new_bin = new_frame.copy()
+    new_bin[1:] |= key[1:] != key[:-1]
+    new_voter = new_bin.copy()
+    new_voter[1:] |= qidx[1:] != qidx[:-1]
+    best = np.maximum.reduceat(matches.score[order], np.flatnonzero(new_voter))
+    # bincount adds in array order, so each bin sums its keypoints' votes one
+    # after another in ascending keypoint order, never pairwise
+    totals = np.bincount(np.cumsum(new_bin)[new_voter] - 1, weights=best)
+    frame_best = np.maximum.reduceat(totals, np.flatnonzero(new_frame[new_bin]))
+    return dict(zip(frame[new_frame].tolist(), frame_best.tolist()))
 
 
 def query_score_mass(query: list[QueryPosting], index: LocalIndex) -> float:
@@ -289,10 +300,10 @@ def local_rank(records: list[LocalRecord], index: LocalIndex, bow: KMeansModel,
     if mass <= 0.0:
         return RankedList(entries=[], channel=LOCAL)
     table = table or PQScoreTable(pq)
-    candidates = collect_matches(query, index, table, tau_pq,
-                                 asymmetric=asymmetric, pq_model=pq)
+    matches = collect_matches(query, index, table, tau_pq,
+                              asymmetric=asymmetric, pq_model=pq)
     diag = (query_geometry or index.geometry).diagonal
-    frame_scores = hough_verify(candidates, hough, query_diagonal=diag)
+    frame_scores = hough_verify(matches, hough, query_diagonal=diag)
     videos: dict[int, float] = {}
     for frame, score in frame_scores.items():
         if score <= 0.0:

@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from frameseek import (GlobalQueryConfig, MatchCandidate,
-                       PQScoreTable, RankedList, binary_centers_train,
-                       build_global_index, collect_matches, encode_query_local,
-                       global_rank, hough_verify, mean_ap, normalize_list,
-                       pq_score, pq_train, probe_candidates, settling_point)
+from conftest import MatchCandidate, match_rows, matches_from_rows
+from frameseek import (GlobalQueryConfig, PQScoreTable, RankedList,
+                       binary_centers_train, build_global_index,
+                       collect_matches, encode_query_local, global_rank,
+                       hough_verify, mean_ap, normalize_list, pq_score,
+                       pq_train, probe_candidates, settling_point)
 from frameseek.bits import hamming_to_many, pack_bits
 from frameseek.cli import main
 from frameseek.global_index import GlobalSignature
@@ -89,8 +90,7 @@ def test_criterion_2_inverted_file_filter_equivalence():
     for qid, _, records in corpus.query_local:
         query = encode_query_local(records, bow, pq)
         for tau in (0.5, 0.72, 0.9):
-            got = {(c.frame_id, c.query_index, c.score)
-                   for c in collect_matches(query, index, table, tau_pq=tau)}
+            got = match_rows(collect_matches(query, index, table, tau_pq=tau))
             expected = set()
             for posting in query:
                 idf = float(index.idf[posting.word])
@@ -142,7 +142,7 @@ def test_criterion_3_geometric_verification():
                 rx=float(gen.uniform(0, 1280)), ry=float(gen.uniform(0, 720)),
                 rtheta=float(gen.uniform(-math.pi, math.pi)),
                 rlog_scale=float(gen.uniform(-2, 8))))
-        if hough_verify(cands)[0] >= 0.9 * inlier_mass:
+        if hough_verify(matches_from_rows(cands))[0] >= 0.9 * inlier_mass:
             wins += 1
     report(3, wins >= 95, f"dominant bin kept >=90% of inlier mass in {wins}/100 trials")
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from frameseek import (FrameGeometry, HoughConfig, LocalRecord, MatchCandidate,
+from conftest import (MatchCandidate, hough_verify_oracle, match_rows,
+                      matches_from_rows)
+from frameseek import (FrameGeometry, HoughConfig, LocalRecord,
                        PQScoreTable, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, hough_verify,
                        local_rank, pq_score, pq_score_asymmetric,
@@ -121,7 +123,7 @@ def test_collect_matches_impossible_threshold(small_bow, small_pq):
     gen = np.random.default_rng(74)
     query = encode_query_local(make_records(gen.normal(size=(8, 32)), seed=74),
                                small_bow, small_pq)
-    assert collect_matches(query, index, small_pq, tau_pq=1 - 1e-9) == []
+    assert len(collect_matches(query, index, small_pq, tau_pq=1 - 1e-9)) == 0
 
 
 def test_collect_matches_planted_identical_posting(small_bow, small_pq):
@@ -130,8 +132,8 @@ def test_collect_matches_planted_identical_posting(small_bow, small_pq):
     query = encode_query_local(records[:1], small_bow, small_pq)
     cands = collect_matches(query, index, small_pq, tau_pq=0.99)
     idf = float(index.idf[query[0].word])
-    self_hits = [c for c in cands if c.frame_id == fid]
-    assert self_hits and any(c.score == pytest.approx(idf * 1.0) for c in self_hits)
+    self_hits = cands.score[cands.frame == fid].tolist()
+    assert self_hits and any(s == pytest.approx(idf * 1.0) for s in self_hits)
 
 
 def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
@@ -141,8 +143,7 @@ def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
     query = encode_query_local(query_records, small_bow, small_pq)
     table = PQScoreTable(small_pq)
     for tau in (0.5, 0.72, 0.9):
-        got = {(c.frame_id, c.query_index, c.score) for c in
-               collect_matches(query, index, table, tau_pq=tau)}
+        got = match_rows(collect_matches(query, index, table, tau_pq=tau))
         expected = set()
         for posting in query:
             for word, arrs in index.postings.items():
@@ -154,6 +155,32 @@ def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
                     if s > tau and idf * s > 0:
                         expected.add((int(arrs["frame"][i]), posting.index, idf * s))
         assert got == expected
+
+
+def test_collect_matches_asymmetric_equals_full_scan_oracle(small_bow, small_pq):
+    index, frames = build_corpus_index(small_bow, small_pq, prune=0.1)
+    gen = np.random.default_rng(83)
+    query_records = make_records(gen.normal(size=(15, 32)), seed=83)
+    query = encode_query_local(query_records, small_bow, small_pq, keep_residuals=True)
+    # raw residuals sit far from these small codebooks, so scores stay low
+    for tau in (0.05, 0.15, 0.2):
+        got = match_rows(collect_matches(query, index, small_pq, tau_pq=tau, asymmetric=True))
+        expected = set()
+        for posting in query:
+            arrs = index.postings.get(posting.word)
+            if arrs is None:
+                continue
+            idf = float(index.idf[posting.word])
+            for i in range(arrs["frame"].shape[0]):
+                s = pq_score_asymmetric(posting.residual, arrs["codes"][i], small_pq)
+                if s > tau and idf * s > 0:
+                    expected.add((int(arrs["frame"][i]), posting.index, idf * s))
+        assert got == expected
+        if tau == 0.05:
+            assert got  # the comparison is not vacuous
+    plain = encode_query_local(query_records, small_bow, small_pq)
+    with pytest.raises(ValueError, match="residuals"):
+        collect_matches(plain, index, small_pq, tau_pq=0.5, asymmetric=True)
 
 
 def test_collect_matches_tau_range(small_bow, small_pq):
@@ -169,7 +196,7 @@ def test_collect_matches_stopped_word_silently_skipped(small_bow, small_pq):
     query = encode_query_local(records, small_bow, small_pq)
     for posting in query:
         posting.word = stopped  # force every posting onto a pruned word
-    assert collect_matches(query, index, small_pq, tau_pq=0.5) == []
+    assert len(collect_matches(query, index, small_pq, tau_pq=0.5)) == 0
 
 
 # --- hough_verify ------------------------------------------------------------------
@@ -198,7 +225,7 @@ def test_hough_single_transform_concentrates_all_mass():
         score = float(gen.uniform(0.1, 1.0))
         total += score
         cands.append(candidate(5, i, score, apply_transform(rgeom, theta, scale, tx, ty), rgeom))
-    scores = hough_verify(cands)
+    scores = hough_verify(matches_from_rows(cands))
     assert scores[5] == pytest.approx(total)
 
 
@@ -231,7 +258,7 @@ def test_hough_planted_inliers_dominant_bin():
             rgeom = (gen.uniform(0, 1280), gen.uniform(0, 720),
                      gen.uniform(-math.pi, math.pi), gen.uniform(-2, 8))
             cands.append(candidate(1, i, float(gen.uniform(0.2, 1.0)), qgeom, rgeom))
-        if hough_verify(cands)[1] >= 0.9 * inlier_mass:
+        if hough_verify(matches_from_rows(cands))[1] >= 0.9 * inlier_mass:
             hits += 1
     assert hits >= 19
 
@@ -246,7 +273,7 @@ def test_hough_score_bounded_by_candidate_mass():
                  gen.uniform(-math.pi, math.pi), gen.uniform(-2, 8))
         cands.append(candidate(2, i, float(gen.uniform(0, 1)), qgeom, rgeom))
     total = sum(c.score for c in cands)
-    assert hough_verify(cands)[2] <= total + 1e-12
+    assert hough_verify(matches_from_rows(cands))[2] <= total + 1e-12
 
 
 def test_hough_burstiness_guard_counts_best_per_keypoint():
@@ -254,11 +281,56 @@ def test_hough_burstiness_guard_counts_best_per_keypoint():
     qgeom = apply_transform(rgeom, 0.0, 1.0, 0.0, 0.0)
     cands = [candidate(3, 0, 0.5, qgeom, rgeom),
              candidate(3, 0, 0.9, qgeom, rgeom)]  # same keypoint, same bin
-    assert hough_verify(cands)[3] == pytest.approx(0.9)
+    assert hough_verify(matches_from_rows(cands))[3] == pytest.approx(0.9)
+
+
+def test_hough_equals_scalar_oracle():
+    """The columnar vote equals the one-candidate-at-a-time vote exactly, in
+    any row order: several frames, keypoints voting several times into one
+    bin, and values sitting exactly on bin edges."""
+    gen = np.random.default_rng(82)
+    cfg = HoughConfig()
+    diag = 1024.0  # a power of two, so the translation edges below are exact
+    cands = []
+    for frame in range(6):
+        theta = float(gen.uniform(-math.pi, math.pi))
+        scale = float(2.0 ** gen.uniform(-1, 1))
+        tx, ty = (float(v) for v in gen.uniform(-100, 100, size=2))
+        for i in range(60):
+            rgeom = (gen.uniform(0, 1280), gen.uniform(0, 720),
+                     gen.uniform(-math.pi, math.pi), gen.uniform(-2, 8))
+            qgeom = (apply_transform(rgeom, theta, scale, tx, ty) if i % 3 else
+                     (gen.uniform(0, 1280), gen.uniform(0, 720),
+                      gen.uniform(-math.pi, math.pi), gen.uniform(-2, 8)))
+            qidx = int(gen.integers(0, 20))  # repeats: burstiness guard at work
+            cands.append(candidate(frame, qidx, float(gen.uniform(0.1, 1.0)), qgeom, rgeom))
+    # one frame per bin edge: keypoint 0 sits on the edge and keypoint 1 a
+    # quarter width above it, so the frame score tells whether they share a bin
+    frame = 100
+    origin = (0.0, 0.0, 0.0, 1.0)
+    edges = [("theta", -math.pi + (k + 0.5) * 2 * math.pi / cfg.n_theta_bins,
+              2 * math.pi / cfg.n_theta_bins) for k in range(cfg.n_theta_bins)]
+    for name, (lo, hi), n in (("scale", cfg.scale_range, cfg.n_scale_bins),
+                              ("trans", cfg.trans_range, cfg.n_trans_bins)):
+        width = (hi - lo) / n
+        edges += [(name, lo + (k + 0.5) * width, width) for k in range(-1, n + 1)]
+    for name, edge, width in edges:
+        for qidx, value in ((0, edge), (1, edge + width / 4)):
+            qgeom = {"theta": (0.0, 0.0, value, 1.0),
+                     "scale": (0.0, 0.0, 0.0, 1.0 + value),
+                     "trans": (value * diag, 0.0, 0.0, 1.0)}[name]
+            cands.append(candidate(frame, qidx, 0.5 if qidx == 0 else 0.25, qgeom, origin))
+        frame += 1
+    ordered = sorted(cands, key=lambda c: c.query_index)
+    expected = hough_verify_oracle(ordered, cfg, query_diagonal=diag)
+    shuffled = [cands[i] for i in gen.permutation(len(cands))]
+    assert hough_verify(matches_from_rows(shuffled), cfg, query_diagonal=diag) == expected
+    assert hough_verify(matches_from_rows(ordered), cfg, query_diagonal=diag) == expected
+    assert any(expected[f] == 0.75 for f in range(100, frame))
 
 
 def test_hough_empty_candidates():
-    assert hough_verify([]) == {}
+    assert hough_verify(matches_from_rows([])) == {}
 
 
 def test_hough_config_validation():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from frameseek import hough_verify, MatchCandidate
+from conftest import MatchCandidate, matches_from_rows
+from frameseek import hough_verify
 from frameseek.geometry import FrameGeometry, wrap_angle
 from frameseek.synth import SynthSpec, generate, write_corpus
 
@@ -43,7 +44,7 @@ def test_planted_transform_verifiable_by_hough():
                 frame_id=t.source_frame, query_index=i, score=1.0,
                 qx=q.x, qy=q.y, qtheta=q.theta, qlog_scale=q.log_scale,
                 rx=r.x, ry=r.y, rtheta=r.theta, rlog_scale=r.log_scale))
-        scores = hough_verify(cands, query_diagonal=FrameGeometry().diagonal)
+        scores = hough_verify(matches_from_rows(cands), query_diagonal=FrameGeometry().diagonal)
         # all planted pairs share the same exact transform: one bin holds all
         assert scores[t.source_frame] == pytest.approx(len(query))
         # and the recovered per-pair parameters equal the logged transform
