@@ -12,7 +12,7 @@ import numpy as np
 from frameseek import (FrameGeometry, LocalRecord, build_local_index,
                        collect_matches, encode_frame_local, encode_query_local,
                        hough_verify, kmeans_train, local_rank, pq_score,
-                       pq_train, transform_records)
+                       pq_train, records_to_rows, transform_records)
 from frameseek.codebooks import kmeans_assign_batch
 
 rng = np.random.default_rng(7)
@@ -50,8 +50,10 @@ def random_frame(frame_id, video_id, n=20):
 
 
 frames = {fid: random_frame(fid, fid // 2) for fid in range(10)}
-postings = [p for recs in frames.values()
-            for p in encode_frame_local(recs, bow, pq, geom)]
+# one row block per frame, [x, y, theta, log_scale, descriptor], as the LDSC
+# reader returns it; all frames are encoded in one call
+postings = encode_frame_local([(fid, fid // 2, records_to_rows(recs))
+                               for fid, recs in frames.items()], bow, pq, geom)
 index = build_local_index(postings, {fid: fid // 2 for fid in frames},
                           n_words=bow.k, m=pq.m, n_pq_centers=pq.n_centers,
                           prune_fraction=0.05, geometry=geom)
@@ -61,9 +63,9 @@ print(f"{index.n_frames} frames, {index.n_postings()} postings, "
 print()
 print("=== 4. query with a rotated + scaled copy of frame 4 ===")
 theta, scale, tx, ty = 0.35, 1.25, 60.0, -35.0
-query_records = transform_records(frames[4], 999, 0, theta, scale, tx, ty,
-                                  noise=0.02, rng=rng)
-query = encode_query_local(query_records, bow, pq)
+query_rows = records_to_rows(transform_records(frames[4], 999, 0, theta, scale, tx, ty,
+                                              noise=0.02, rng=rng))
+query = encode_query_local(query_rows, bow, pq)
 candidates = collect_matches(query, index, pq, tau_pq=0.72)
 print(f"{len(candidates)} candidate matches above the similarity threshold")
 
@@ -75,7 +77,7 @@ for fid, score in ranked_frames[:3]:
 
 print()
 print("=== 5. full local ranking (frame scores -> video scores) ===")
-ranked = local_rank(query_records, index, bow, pq, tau_pq=0.72, top_n=5)
+ranked = local_rank(query_rows, index, bow, pq, tau_pq=0.72, top_n=5)
 for video, score in ranked.entries:
     marker = "  <- source video" if video == 2 else ""
     print(f"  video {video}: {score:.3f}{marker}")

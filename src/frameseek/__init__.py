@@ -21,12 +21,13 @@ from .global_index import (GlobalIndex, GlobalSignature, binarize,
                            build_global_index, fisher_vector, make_signature)
 from .global_query import (GlobalQueryConfig, global_rank, hamming_score,
                            probe_candidates)
-from .local_index import (LocalIndex, LocalPosting, LocalRecord,
-                          build_local_index, encode_frame_local)
+from .local_index import (LocalIndex, Postings, build_local_index,
+                          encode_frame_local)
 from .local_query import (HoughConfig, Matches, PQScoreTable,
                           QueryPosting, collect_matches, encode_query_local,
                           hough_verify, local_rank, pq_score,
                           pq_score_asymmetric, query_score_mass)
-from .synth import SynthSpec, generate, transform_records, write_corpus
+from .synth import (LocalRecord, SynthSpec, generate, records_to_rows,
+                    transform_records, write_corpus)
 
 __version__ = "0.1.0"

@@ -16,35 +16,26 @@ from .codebooks import KMeansModel, PQModel, kmeans_assign_batch, pq_encode_batc
 from .geometry import FrameGeometry, quantize_log_scale, quantize_theta
 
 DESCRIPTOR_DIM = 128
+ENCODE_BLOCK_ROWS = 8192  # rows converted to float64 and encoded at a time
+# the arrays of each inverted list, as LocalIndex.postings and LIDX store them
+POSTING_DTYPES = {"codes": np.uint8, "qx": np.uint16, "qy": np.uint16,
+                  "qtheta": np.uint8, "qscale": np.uint8, "frame": np.uint32}
 
 
 @dataclass
-class LocalRecord:
-    """One keypoint: geometry plus its 128-d descriptor."""
+class Postings:
+    """Encoded keypoints as equal-length columns, one row per keypoint."""
 
-    frame_id: int
-    video_id: int
-    x: float
-    y: float
-    theta: float  # radians, wrapped to [-pi, pi) at encode time
-    log_scale: float  # log2 of keypoint scale
-    descriptor: np.ndarray
+    word: np.ndarray  # (n,) int64 coarse word
+    codes: np.ndarray  # (n, m) uint8 PQ codes of the residual
+    qx: np.ndarray  # (n,) uint16 quantized geometry
+    qy: np.ndarray  # (n,) uint16
+    qtheta: np.ndarray  # (n,) uint8
+    qscale: np.ndarray  # (n,) uint8
+    frame: np.ndarray  # (n,) uint32 frame id
 
-    def __post_init__(self):
-        self.descriptor = np.asarray(self.descriptor, dtype=np.float32)
-
-
-@dataclass
-class LocalPosting:
-    """Indexed keypoint: coarse word, PQ codes, quantized geometry."""
-
-    word: int
-    codes: np.ndarray  # (m,) uint8
-    qx: int
-    qy: int
-    qtheta: int
-    qscale: int
-    frame_id: int
+    def __len__(self) -> int:
+        return self.frame.shape[0]
 
 
 @dataclass
@@ -76,83 +67,107 @@ class LocalIndex:
         return sum(arrs["frame"].shape[0] for arrs in self.postings.values())
 
 
-def encode_frame_local(records: list[LocalRecord], bow: KMeansModel, pq: PQModel,
-                       geometry: FrameGeometry | None = None) -> list[LocalPosting]:
-    """Encode keypoints into postings: coarse word, residual PQ codes, and
-    quantized geometry.
+def _row_blocks(frames, block_rows: int):
+    """The rows of all frames, end to end, as blocks of near-equal size and
+    at most block_rows rows."""
+    n = sum(rows.shape[0] for _, _, rows in frames)
+    size = -(-n // max(1, -(-n // block_rows)))
+    pieces, filled = [], 0
+    for _, _, rows in frames:
+        while rows.shape[0]:
+            piece, rows = rows[:size - filled], rows[size - filled:]
+            pieces.append(piece)
+            filled += piece.shape[0]
+            if filled == size:
+                yield np.concatenate(pieces)
+                pieces, filled = [], 0
+    if pieces:
+        yield np.concatenate(pieces)
+
+
+def encode_frame_local(frames: list[tuple[int, int, np.ndarray]], bow: KMeansModel,
+                       pq: PQModel, geometry: FrameGeometry | None = None) -> Postings:
+    """Encode the keypoints of every frame into postings: coarse word,
+    residual PQ codes and quantized geometry, in input order.
+
+    `frames` holds (frame_id, video_id, rows) triples as the LDSC reader
+    returns them, each row [x, y, theta, log_scale, descriptor...]. Rows are
+    encoded in blocks of at most ENCODE_BLOCK_ROWS, so memory stays bounded
+    whatever the corpus size.
 
     Raises:
         ValueError: descriptor dimensionality does not match the models.
     """
-    if not records:
-        return []
     geometry = geometry or FrameGeometry()
-    descriptors = np.stack([r.descriptor for r in records]).astype(np.float64)
-    if descriptors.shape[1] != bow.d:
-        raise ValueError(f"descriptor dimension {descriptors.shape[1]} does not match vocabulary ({bow.d})")
-    words, residuals = kmeans_assign_batch(bow, descriptors)
-    codes = pq_encode_batch(pq, residuals)
-    qx, qy = geometry.quantize_xy([r.x for r in records], [r.y for r in records])
-    qtheta = quantize_theta([r.theta for r in records])
-    qscale = quantize_log_scale([r.log_scale for r in records])
-    return [
-        LocalPosting(word=int(words[i]), codes=codes[i], qx=int(qx[i]), qy=int(qy[i]),
-                     qtheta=int(qtheta[i]), qscale=int(qscale[i]), frame_id=records[i].frame_id)
-        for i in range(len(records))
-    ]
+    for _, _, rows in frames:
+        if rows.shape[0] and rows.shape[1] - 4 != bow.d:
+            raise ValueError(f"descriptor dimension {rows.shape[1] - 4} does not match "
+                             f"vocabulary ({bow.d})")
+    words = [np.empty(0, dtype=np.int64)]
+    codes = [np.empty((0, pq.m), dtype=np.uint8)]
+    geom = [np.empty((0, 4), dtype=np.float32)]
+    for block in _row_blocks(frames, ENCODE_BLOCK_ROWS):
+        descriptors = np.ascontiguousarray(block[:, 4:], dtype=np.float64)
+        block_words, residuals = kmeans_assign_batch(bow, descriptors)
+        words.append(block_words)
+        codes.append(pq_encode_batch(pq, residuals))
+        geom.append(block[:, :4].copy())  # a view would keep the whole block alive
+    geom = np.concatenate(geom, dtype=np.float64)
+    qx, qy = geometry.quantize_xy(geom[:, 0], geom[:, 1])
+    return Postings(word=np.concatenate(words), codes=np.concatenate(codes), qx=qx, qy=qy,
+                    qtheta=quantize_theta(geom[:, 2]), qscale=quantize_log_scale(geom[:, 3]),
+                    frame=np.repeat(np.array([fid for fid, _, _ in frames], dtype=np.uint32),
+                                    [rows.shape[0] for _, _, rows in frames]))
 
 
-def build_local_index(postings: list[LocalPosting], frame_to_video: dict[int, int],
+def build_local_index(postings: Postings, frame_to_video: dict[int, int],
                       n_words: int, m: int, n_pq_centers: int,
                       prune_fraction: float = 0.05,
                       geometry: FrameGeometry | None = None) -> LocalIndex:
-    """Assemble the frozen inverted file from a posting stream.
+    """Assemble the frozen inverted file from encoded postings.
+
+    One stable lexsort on (word, frame) orders the postings the way the
+    inverted file stores them (postings of one frame keep their input
+    order); a word's document frequency is the number of distinct frames in
+    its run, and each retained word's lists are slices of the sorted columns.
 
     Raises:
-        ValueError: empty posting stream, or prune_fraction outside [0, 0.5).
+        ValueError: empty posting stream, a word outside [0, n_words), or
+            prune_fraction outside [0, 0.5).
     """
-    if not postings:
+    if not len(postings):
         raise ValueError("no postings to index")
     if not 0.0 <= prune_fraction < 0.5:
         raise ValueError("prune_fraction must be in [0, 0.5)")
     geometry = geometry or FrameGeometry()
+    bad = postings.word[(postings.word < 0) | (postings.word >= n_words)]
+    if bad.size:
+        raise ValueError(f"word {bad[0]} out of range [0, {n_words})")
 
-    doc_freq = np.zeros(n_words, dtype=np.uint32)
-    seen: set[tuple[int, int]] = set()
-    for p in postings:
-        if not 0 <= p.word < n_words:
-            raise ValueError(f"word {p.word} out of range [0, {n_words})")
-        key = (p.word, p.frame_id)
-        if key not in seen:
-            seen.add(key)
-            doc_freq[p.word] += 1
+    order = np.lexsort((postings.frame, postings.word))
+    word, frame = postings.word[order], postings.frame[order]
+    new_pair = np.ones(word.shape[0], dtype=bool)
+    new_pair[1:] = (word[1:] != word[:-1]) | (frame[1:] != frame[:-1])
+    doc_freq = np.bincount(word[new_pair], minlength=n_words).astype(np.uint32)
 
     n_stop = math.ceil(prune_fraction * n_words)
     stop_mask = np.zeros(n_words, dtype=bool)
     if n_stop:
-        order = np.lexsort((np.arange(n_words), -doc_freq.astype(np.int64)))
-        stop_mask[order[:n_stop]] = True
+        stop_order = np.lexsort((np.arange(n_words), -doc_freq.astype(np.int64)))
+        stop_mask[stop_order[:n_stop]] = True
 
     n_frames = len(frame_to_video)
     idf = np.log(n_frames / (1.0 + doc_freq.astype(np.float64)))
     idf = np.maximum(idf, 0.0).astype(np.float32)
 
-    by_word: dict[int, list[LocalPosting]] = {}
-    for p in postings:
-        if not stop_mask[p.word]:
-            by_word.setdefault(p.word, []).append(p)
-
-    packed: dict[int, dict[str, np.ndarray]] = {}
-    for word in sorted(by_word):
-        plist = sorted(by_word[word], key=lambda p: p.frame_id)
-        packed[word] = {
-            "codes": np.stack([p.codes for p in plist]).astype(np.uint8),
-            "qx": np.array([p.qx for p in plist], dtype=np.uint16),
-            "qy": np.array([p.qy for p in plist], dtype=np.uint16),
-            "qtheta": np.array([p.qtheta for p in plist], dtype=np.uint8),
-            "qscale": np.array([p.qscale for p in plist], dtype=np.uint8),
-            "frame": np.array([p.frame_id for p in plist], dtype=np.uint32),
-        }
+    keep = ~stop_mask[word]
+    kept = order[keep]
+    columns = {name: getattr(postings, name)[kept].astype(dtype, copy=False)
+               for name, dtype in POSTING_DTYPES.items()}
+    kept_words, starts = np.unique(word[keep], return_index=True)
+    ends = np.append(starts[1:], kept.shape[0])
+    packed = {int(w): {name: col[lo:hi] for name, col in columns.items()}
+              for w, lo, hi in zip(kept_words.tolist(), starts.tolist(), ends.tolist())}
 
     return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
                       prune_fraction=prune_fraction, geometry=geometry,

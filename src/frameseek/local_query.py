@@ -17,7 +17,7 @@ from .codebooks import KMeansModel, PQModel, kmeans_assign_batch, pq_encode_batc
 from .fusion import LOCAL, RankedList, rank_videos
 from .geometry import (FrameGeometry, dequantize_log_scale, dequantize_theta,
                        wrap_angle)
-from .local_index import LocalIndex, LocalRecord
+from .local_index import LocalIndex
 
 
 @dataclass
@@ -125,22 +125,24 @@ def pq_score_asymmetric(residual_q: np.ndarray, codes_r: np.ndarray, pq: PQModel
     return total / pq.m
 
 
-def encode_query_local(records: list[LocalRecord], bow: KMeansModel, pq: PQModel,
+def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel,
                        keep_residuals: bool = False) -> list[QueryPosting]:
-    """Encode query keypoints, keeping raw geometry for the Hough vote."""
-    if not records:
+    """Encode query keypoints, keeping raw geometry for the Hough vote.
+
+    `rows` is the query frame's row block as the LDSC reader returns it:
+    one row [x, y, theta, log_scale, descriptor...] per keypoint.
+    """
+    if not len(rows):
         return []
-    descriptors = np.stack([r.descriptor for r in records]).astype(np.float64)
-    if descriptors.shape[1] != bow.d:
-        raise ValueError(f"descriptor dimension {descriptors.shape[1]} does not match vocabulary ({bow.d})")
-    words, residuals = kmeans_assign_batch(bow, descriptors)
+    if rows.shape[1] - 4 != bow.d:
+        raise ValueError(f"descriptor dimension {rows.shape[1] - 4} does not match vocabulary ({bow.d})")
+    words, residuals = kmeans_assign_batch(bow, np.ascontiguousarray(rows[:, 4:], dtype=np.float64))
     codes = pq_encode_batch(pq, residuals)
     return [
-        QueryPosting(index=i, word=int(words[i]), codes=codes[i],
-                     x=float(r.x), y=float(r.y), theta=float(wrap_angle(r.theta)),
-                     log_scale=float(r.log_scale),
-                     residual=residuals[i] if keep_residuals else None)
-        for i, r in enumerate(records)
+        QueryPosting(index=i, word=word, codes=codes[i], x=x, y=y, theta=wrap_angle(theta),
+                     log_scale=log_scale, residual=residuals[i] if keep_residuals else None)
+        for i, (word, (x, y, theta, log_scale)) in enumerate(zip(words.tolist(),
+                                                                 rows[:, :4].tolist()))
     ]
 
 
@@ -283,19 +285,20 @@ def query_score_mass(query: list[QueryPosting], index: LocalIndex) -> float:
     return mass
 
 
-def local_rank(records: list[LocalRecord], index: LocalIndex, bow: KMeansModel,
+def local_rank(rows: np.ndarray, index: LocalIndex, bow: KMeansModel,
                pq: PQModel, tau_pq: float = 0.72, top_n: int = 100,
                hough: HoughConfig | None = None,
                query_geometry: FrameGeometry | None = None,
                table: PQScoreTable | None = None,
                asymmetric: bool = False) -> RankedList:
-    """Full local query: encode, match, verify, aggregate to videos.
+    """Full local query of one frame's row block: encode, match, verify,
+    aggregate to videos.
 
     A video scores the maximum of its frames' dominant-bin totals, divided
     by the query's own score mass so results land in [0, 1]. Ties order by
     ascending video id; the list truncates to top_n.
     """
-    query = encode_query_local(records, bow, pq, keep_residuals=asymmetric)
+    query = encode_query_local(rows, bow, pq, keep_residuals=asymmetric)
     mass = query_score_mass(query, index)
     if mass <= 0.0:
         return RankedList(entries=[], channel=LOCAL)

@@ -2,9 +2,10 @@
 
 These functions sit between the file formats and the per-module operations
 so the CLI stays a thin argument parser and library users can drive the
-whole engine from Python. Frame encoding and per-query evaluation can fan
-out over a thread pool; results are gathered in input order, so the output
-never depends on the thread count.
+whole engine from Python. Global signatures and per-query evaluation can
+fan out over a thread pool; results are gathered in input order, so the
+output never depends on the thread count. Local encoding runs in row blocks
+on the calling thread.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -33,11 +34,44 @@ def _map_maybe_parallel(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _sample_index(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of at most cap of n rows, drawn without replacement."""
+    if n <= cap:
+        return np.arange(n)
+    return np.sort(rng.choice(n, size=cap, replace=False))
+
+
 def _subsample(rows: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    if rows.shape[0] <= cap:
-        return rows
-    pick = rng.choice(rows.shape[0], size=cap, replace=False)
-    return rows[np.sort(pick)]
+    return rows[_sample_index(rows.shape[0], cap, rng)]
+
+
+def _take_rows(frames, index: np.ndarray) -> np.ndarray:
+    """Rows `index` (sorted) of the frames' row blocks laid end to end,
+    gathered without joining the blocks first."""
+    ends = np.cumsum([rows.shape[0] for _, _, rows in frames])
+    cuts = np.searchsorted(index, ends)
+    parts, lo = [], 0
+    for (_, _, rows), end, hi in zip(frames, ends, cuts):
+        if hi > lo:
+            parts.append(rows[index[lo:hi] - (end - rows.shape[0])])
+        lo = hi
+    return np.concatenate(parts)
+
+
+def _read_frames(paths, read) -> list:
+    """The frames of every file, in order.
+
+    Raises:
+        ValueError: a frame id repeats, within a file or across files.
+    """
+    frames, seen = [], set()
+    for path in paths:
+        for frame in read(path):
+            if frame[0] in seen:
+                raise ValueError(f"{path}: duplicate frame id {frame[0]}")
+            seen.add(frame[0])
+            frames.append(frame)
+    return frames
 
 
 def collect_descriptor_files(paths: list[str | Path], suffix: str) -> list[Path]:
@@ -66,15 +100,15 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
     """
     rng = np.random.default_rng(config.seed)
 
-    descriptors = []
-    for path in local_files:
-        for _, _, records in read_local_descriptors(path):
-            if records:
-                descriptors.append(np.stack([r.descriptor for r in records]))
-    if not descriptors:
+    frames = [frame for path in local_files for frame in read_local_descriptors(path)]
+    n_rows = sum(rows.shape[0] for _, _, rows in frames)
+    if not n_rows:
         raise ValueError("no input files: no local descriptors to train on")
-    descriptors = _subsample(np.concatenate(descriptors).astype(np.float64),
-                             config.max_train_samples, rng)
+    # pick the sample first, then convert only its rows; the sample is a
+    # copy, so the file bytes can go before training starts
+    sample = _take_rows(frames, _sample_index(n_rows, config.max_train_samples, rng))
+    del frames
+    descriptors = np.ascontiguousarray(sample[:, 4:], dtype=np.float64)
 
     bow = kmeans_train(descriptors, config.d_bow, iters=config.train_iters, seed=config.seed)
     _, residuals = kmeans_assign_batch(bow, descriptors)
@@ -112,18 +146,10 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
 def build_local_index_from_files(files: list[Path], books: CodebookSet,
                                  config: EngineConfig) -> LocalIndex:
     geometry = FrameGeometry(config.frame_width, config.frame_height)
-    frames = []
-    for path in files:
-        frames.extend(read_local_descriptors(path))
+    frames = _read_frames(files, read_local_descriptors)
     if not frames:
         raise ValueError("no input files: nothing to index")
-
-    def encode(frame):
-        _, _, records = frame
-        return encode_frame_local(records, books.bow, books.pq, geometry)
-
-    posting_lists = _map_maybe_parallel(encode, frames, config.threads)
-    postings = [p for plist in posting_lists for p in plist]
+    postings = encode_frame_local(frames, books.bow, books.pq, geometry)
     frame_to_video = {fid: vid for fid, vid, _ in frames}
     return build_local_index(postings, frame_to_video, n_words=books.bow.k,
                              m=books.pq.m, n_pq_centers=books.pq.n_centers,
@@ -132,9 +158,7 @@ def build_local_index_from_files(files: list[Path], books: CodebookSet,
 
 def build_global_index_from_files(files: list[Path], books: CodebookSet,
                                   config: EngineConfig) -> GlobalIndex:
-    frames = []
-    for path in files:
-        frames.extend(read_global_features(path))
+    frames = _read_frames(files, read_global_features)
     if not frames:
         raise ValueError("no input files: nothing to index")
 
@@ -170,14 +194,14 @@ def query_local_file(path: str | Path, index: LocalIndex, books: CodebookSet,
                      config: EngineConfig, asymmetric: bool = False) -> dict[int, RankedList]:
     """Run every frame of an LDSC file as a query; keys are frame ids."""
     check_compatible_local(books, index)
-    frames = read_local_descriptors(path)
+    frames = _read_frames([path], read_local_descriptors)
     table = PQScoreTable(books.pq)
     geometry = FrameGeometry(config.frame_width, config.frame_height)
     hough = HoughConfig()
 
     def run(frame):
-        _, _, records = frame
-        return local_rank(records, index, books.bow, books.pq,
+        _, _, rows = frame
+        return local_rank(rows, index, books.bow, books.pq,
                           tau_pq=config.tau_pq, top_n=config.top_n, hough=hough,
                           query_geometry=geometry, table=table, asymmetric=asymmetric)
 
@@ -189,7 +213,7 @@ def query_global_file(path: str | Path, index: GlobalIndex, books: CodebookSet,
                       config: EngineConfig, brute_force: bool = False) -> dict[int, RankedList]:
     """Run every frame of a GDSC file as a query; keys are frame ids."""
     check_compatible_global(books, index)
-    frames = read_global_features(path)
+    frames = _read_frames([path], read_global_features)
     cfg = GlobalQueryConfig(k_probe=config.k_probe, top_n=config.top_n,
                             brute_force=brute_force)
 

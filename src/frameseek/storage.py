@@ -18,7 +18,7 @@ from .codebooks import (BinaryCenters, CodebookSet, GMMModel, KMeansModel,
                         PCAModel, PQModel)
 from .geometry import FrameGeometry
 from .global_index import GlobalIndex
-from .local_index import DESCRIPTOR_DIM, LocalIndex, LocalRecord
+from .local_index import DESCRIPTOR_DIM, LocalIndex
 
 FORMAT_VERSION = 1
 
@@ -35,6 +35,9 @@ _KIND_GMM = 4
 _KIND_BINARY = 5
 
 GLOBAL_FEATURE_DIM = 384
+LOCAL_ROW_WIDTH = 4 + DESCRIPTOR_DIM  # x, y, theta, log_scale, descriptor
+LOCAL_ROW_BYTES = 4 * LOCAL_ROW_WIDTH
+_U32_MAX = 2 ** 32 - 1
 
 
 class FileFormatError(Exception):
@@ -190,44 +193,66 @@ def read_codebooks(path: str | Path) -> CodebookSet:
 
 # --- local descriptor files (LDSC, binary + text variant) ---------------
 
-def write_local_descriptors(frames: list[tuple[int, int, list[LocalRecord]]],
+def _frame_header(frame_id: int, video_id: int, count: int) -> bytes:
+    for name, value in (("frame", frame_id), ("video", video_id)):
+        if not 0 <= value <= _U32_MAX:
+            raise ValueError(f"{name} id {value} outside [0, 2^32)")
+    return struct.pack("<III", frame_id, video_id, count)
+
+
+def write_local_descriptors(frames: list[tuple[int, int, np.ndarray]],
                             path: str | Path) -> None:
-    """Write per-frame blocks of (frame_id, video_id, records)."""
+    """Write per-frame blocks of (frame_id, video_id, n x 132 rows), each row
+    [x, y, theta, log_scale, d0..d127].
+
+    Raises:
+        ValueError: a frame or video id outside [0, 2^32).
+    """
     out = io.BytesIO()
     out.write(MAGIC_LOCAL_DESC)
     out.write(struct.pack("<H", FORMAT_VERSION))
-    for frame_id, video_id, records in frames:
-        out.write(struct.pack("<III", frame_id, video_id, len(records)))
-        for rec in records:
-            out.write(struct.pack("<ffff", rec.x, rec.y, rec.theta, rec.log_scale))
-            out.write(_f32_bytes(rec.descriptor))
+    for frame_id, video_id, rows in frames:
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != LOCAL_ROW_WIDTH:
+            raise FileFormatError(f"{path}: frame {frame_id} rows have shape {rows.shape}, "
+                                  f"expected (n, {LOCAL_ROW_WIDTH})")
+        out.write(_frame_header(frame_id, video_id, rows.shape[0]))
+        out.write(_f32_bytes(rows))
     Path(path).write_bytes(out.getvalue())
 
 
-def _read_local_text(path: Path) -> list[tuple[int, int, list[LocalRecord]]]:
-    frames: dict[int, tuple[int, list[LocalRecord]]] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+def _read_local_text(path: Path) -> list[tuple[int, int, np.ndarray]]:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
+    frames: dict[int, tuple[int, list[list[float]]]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 6 + DESCRIPTOR_DIM:
-            raise FileFormatError(f"{path}:{lineno}: expected {6 + DESCRIPTOR_DIM} fields, "
+        if len(fields) != 2 + LOCAL_ROW_WIDTH:
+            raise FileFormatError(f"{path}:{lineno}: expected {2 + LOCAL_ROW_WIDTH} fields, "
                                   f"found {len(fields)}")
         try:
             frame_id, video_id = int(fields[0]), int(fields[1])
-            x, y, theta, log_scale = (float(v) for v in fields[2:6])
-            descriptor = np.array([float(v) for v in fields[6:]], dtype=np.float32)
+            row = [float(v) for v in fields[2:]]
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        rec = LocalRecord(frame_id=frame_id, video_id=video_id, x=x, y=y,
-                          theta=theta, log_scale=log_scale, descriptor=descriptor)
-        frames.setdefault(frame_id, (video_id, []))[1].append(rec)
-    return [(fid, vid, recs) for fid, (vid, recs) in frames.items()]
+        if not (0 <= frame_id <= _U32_MAX and 0 <= video_id <= _U32_MAX):
+            raise FileFormatError(f"{path}:{lineno}: id outside [0, 2^32)")
+        frames.setdefault(frame_id, (video_id, []))[1].append(row)
+    return [(fid, vid, np.array(rows, dtype=np.float32)) for fid, (vid, rows) in frames.items()]
 
 
-def read_local_descriptors(path: str | Path) -> list[tuple[int, int, list[LocalRecord]]]:
-    """Read an LDSC file (binary, or the line-oriented text variant)."""
+def read_local_descriptors(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
+    """Read an LDSC file (binary, or the line-oriented text variant) as
+    (frame_id, video_id, rows) triples in file order. `rows` is the frame's
+    (n, 132) float32 block [x, y, theta, log_scale, d0..d127]; in the binary
+    variant it is a read-only view of the file's bytes. In the text variant
+    the lines of one frame id form one frame.
+    """
     path = Path(path)
     try:
         with path.open("rb") as fh:
@@ -239,16 +264,10 @@ def read_local_descriptors(path: str | Path) -> list[tuple[int, int, list[LocalR
     r = _open_checked(path, MAGIC_LOCAL_DESC)
     frames = []
     while not r.done():
-        frame_id, video_id, n = r.u32(), r.u32(), r.u32()
-        raw = r.f32_array(n * (4 + DESCRIPTOR_DIM)).reshape(n, 4 + DESCRIPTOR_DIM) \
-            if n else np.empty((0, 4 + DESCRIPTOR_DIM), dtype=np.float32)
-        records = [
-            LocalRecord(frame_id=frame_id, video_id=video_id,
-                        x=float(row[0]), y=float(row[1]), theta=float(row[2]),
-                        log_scale=float(row[3]), descriptor=row[4:])
-            for row in raw
-        ]
-        frames.append((frame_id, video_id, records))
+        frame_id, video_id, n = struct.unpack("<III", r.take(12))
+        # take() checks n rows against the bytes left before anything is built
+        rows = np.frombuffer(r.take(n * LOCAL_ROW_BYTES), dtype="<f4").reshape(n, LOCAL_ROW_WIDTH)
+        frames.append((frame_id, video_id, rows))
     return frames
 
 
@@ -256,7 +275,11 @@ def read_local_descriptors(path: str | Path) -> list[tuple[int, int, list[LocalR
 
 def write_global_features(frames: list[tuple[int, int, np.ndarray]],
                           path: str | Path) -> None:
-    """Write per-frame blocks of (frame_id, video_id, n x 384 features)."""
+    """Write per-frame blocks of (frame_id, video_id, n x 384 features).
+
+    Raises:
+        ValueError: a frame or video id outside [0, 2^32).
+    """
     out = io.BytesIO()
     out.write(MAGIC_GLOBAL_DESC)
     out.write(struct.pack("<H", FORMAT_VERSION))
@@ -265,7 +288,7 @@ def write_global_features(frames: list[tuple[int, int, np.ndarray]],
         if features.shape[1] != GLOBAL_FEATURE_DIM:
             raise FileFormatError(f"{path}: frame {frame_id} features have dimension "
                                   f"{features.shape[1]}, expected {GLOBAL_FEATURE_DIM}")
-        out.write(struct.pack("<III", frame_id, video_id, features.shape[0]))
+        out.write(_frame_header(frame_id, video_id, features.shape[0]))
         out.write(_f32_bytes(features))
     Path(path).write_bytes(out.getvalue())
 

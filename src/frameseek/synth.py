@@ -16,11 +16,36 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import FrameGeometry, wrap_angle
-from .local_index import DESCRIPTOR_DIM, LocalRecord
+from .local_index import DESCRIPTOR_DIM
 from .storage import (GLOBAL_FEATURE_DIM, write_global_features,
                       write_ground_truth, write_local_descriptors)
 
 QUERY_ID_BASE = 1_000_000
+
+
+@dataclass
+class LocalRecord:
+    """One generated keypoint: geometry plus its descriptor."""
+
+    frame_id: int
+    video_id: int
+    x: float
+    y: float
+    theta: float  # radians
+    log_scale: float  # log2 of keypoint scale
+    descriptor: np.ndarray
+
+    def __post_init__(self):
+        self.descriptor = np.asarray(self.descriptor, dtype=np.float32)
+
+
+def records_to_rows(records: list[LocalRecord]) -> np.ndarray:
+    """The records as one float32 row block [x, y, theta, log_scale,
+    descriptor...], the layout the LDSC reader returns for a frame."""
+    if not records:
+        return np.empty((0, 4 + DESCRIPTOR_DIM), dtype=np.float32)
+    geometry = np.array([(r.x, r.y, r.theta, r.log_scale) for r in records], dtype=np.float32)
+    return np.hstack([geometry, np.stack([r.descriptor for r in records])])
 
 
 @dataclass
@@ -174,9 +199,11 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
         "ground_truth": out_dir / "gt.tsv",
         "transforms": out_dir / "transforms.tsv",
     }
-    write_local_descriptors(corpus.ref_local, paths["ref_local"])
+    for role in ("ref_local", "query_local"):
+        frames = [(fid, vid, records_to_rows(records))
+                  for fid, vid, records in getattr(corpus, role)]
+        write_local_descriptors(frames, paths[role])
     write_global_features(corpus.ref_global, paths["ref_global"])
-    write_local_descriptors(corpus.query_local, paths["query_local"])
     write_global_features(corpus.query_global, paths["query_global"])
     write_ground_truth(corpus.ground_truth, paths["ground_truth"])
     lines = ["query_id\tsource_video\tsource_frame\ttheta\tscale\ttx\tty"]

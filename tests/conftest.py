@@ -4,8 +4,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-from frameseek import (FrameGeometry, HoughConfig, Matches, kmeans_train,
-                       pq_train, wrap_angle)
+from frameseek import (FrameGeometry, HoughConfig, LocalIndex, Matches,
+                       Postings, kmeans_train, pq_train, wrap_angle)
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,72 @@ def small_pq():
     """4 subquantizers x 8 centers over 32-d residuals."""
     gen = np.random.default_rng(101)
     return pq_train(gen.normal(size=(800, 32)), m=4, n_centers=8, iters=15, seed=101)
+
+
+# --- per-posting index build, kept as the oracle for the columnar one ---------
+
+@dataclass
+class LocalPosting:
+    """Indexed keypoint: coarse word, PQ codes, quantized geometry."""
+
+    word: int
+    codes: np.ndarray  # (m,) uint8
+    qx: int
+    qy: int
+    qtheta: int
+    qscale: int
+    frame_id: int
+
+
+def postings_from_rows(postings, m=4):
+    """Columnar Postings holding the given LocalPosting rows, in order."""
+    return Postings(
+        word=np.array([p.word for p in postings], dtype=np.int64),
+        codes=np.array([p.codes for p in postings], dtype=np.uint8).reshape(-1, m),
+        qx=np.array([p.qx for p in postings], dtype=np.uint16),
+        qy=np.array([p.qy for p in postings], dtype=np.uint16),
+        qtheta=np.array([p.qtheta for p in postings], dtype=np.uint8),
+        qscale=np.array([p.qscale for p in postings], dtype=np.uint8),
+        frame=np.array([p.frame_id for p in postings], dtype=np.uint32))
+
+
+def build_local_index_oracle(postings, frame_to_video, n_words, m, n_pq_centers,
+                             prune_fraction=0.05, geometry=None):
+    """One posting at a time: a seen set for document frequencies, postings
+    grouped by word, each word's list sorted by frame with Python's stable
+    sort."""
+    geometry = geometry or FrameGeometry()
+    doc_freq = np.zeros(n_words, dtype=np.uint32)
+    seen = set()
+    for p in postings:
+        if (p.word, p.frame_id) not in seen:
+            seen.add((p.word, p.frame_id))
+            doc_freq[p.word] += 1
+    n_stop = math.ceil(prune_fraction * n_words)
+    stopped = sorted(range(n_words), key=lambda w: (-int(doc_freq[w]), w))[:n_stop]
+    stop_mask = np.zeros(n_words, dtype=bool)
+    stop_mask[stopped] = True
+    idf = np.log(len(frame_to_video) / (1.0 + doc_freq.astype(np.float64)))
+    idf = np.maximum(idf, 0.0).astype(np.float32)
+    by_word = {}
+    for p in postings:
+        if not stop_mask[p.word]:
+            by_word.setdefault(p.word, []).append(p)
+    packed = {}
+    for word in sorted(by_word):
+        plist = sorted(by_word[word], key=lambda p: p.frame_id)
+        packed[word] = {
+            "codes": np.stack([p.codes for p in plist]).astype(np.uint8),
+            "qx": np.array([p.qx for p in plist], dtype=np.uint16),
+            "qy": np.array([p.qy for p in plist], dtype=np.uint16),
+            "qtheta": np.array([p.qtheta for p in plist], dtype=np.uint8),
+            "qscale": np.array([p.qscale for p in plist], dtype=np.uint8),
+            "frame": np.array([p.frame_id for p in plist], dtype=np.uint32),
+        }
+    return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
+                      prune_fraction=prune_fraction, geometry=geometry,
+                      doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
+                      frame_to_video=dict(frame_to_video), postings=packed)
 
 
 # --- scalar Hough vote, kept as the oracle for the columnar one ---------------

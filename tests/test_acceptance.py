@@ -25,7 +25,7 @@ from frameseek.pipeline import (build_local_index_from_files,
                                 ranked_to_run, train_codebooks)
 from frameseek.config import EngineConfig
 from frameseek.storage import read_ground_truth, write_run
-from frameseek.synth import SynthSpec, generate, write_corpus
+from frameseek.synth import SynthSpec, generate, records_to_rows, write_corpus
 
 from test_fusion import GLOBAL_CURVE, LOCAL_CURVE
 
@@ -79,16 +79,15 @@ def test_criterion_2_inverted_file_filter_equivalence():
     bow = kmeans_train(descriptors.astype(np.float64), 32, iters=10, seed=202)
     _, residuals = kmeans_assign_batch(bow, descriptors.astype(np.float64))
     pq = pq_train(residuals, m=8, n_centers=16, iters=10, seed=203)
-    postings = []
-    for _, _, records in corpus.ref_local:
-        postings.extend(encode_frame_local(records, bow, pq))
+    postings = encode_frame_local([(f, v, records_to_rows(records))
+                                   for f, v, records in corpus.ref_local], bow, pq)
     index = build_local_index(postings, {f: v for f, v, _ in corpus.ref_local},
                               n_words=32, m=8, n_pq_centers=16, prune_fraction=0.05)
     table = PQScoreTable(pq)
 
     checked = 0
     for qid, _, records in corpus.query_local:
-        query = encode_query_local(records, bow, pq)
+        query = encode_query_local(records_to_rows(records), bow, pq)
         for tau in (0.5, 0.72, 0.9):
             got = match_rows(collect_matches(query, index, table, tau_pq=tau))
             expected = set()

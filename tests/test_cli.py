@@ -132,6 +132,17 @@ def test_corrupt_input_names_path(workspace, tmp_path, capsys):
     assert "bad.ldsc" in capsys.readouterr().err
 
 
+def test_repeated_frame_id_across_files_clean_error(workspace, tmp_path, capsys):
+    refs = str(workspace["corpus"] / "refs.ldsc")
+    rc = main(["index-local", "--codebooks", str(workspace["books"]),
+               "--features", refs, refs, "--out", str(tmp_path / "x.lidx")])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error=") and "\n" not in err.strip()
+    assert "duplicate frame id 0" in err and "refs.ldsc" in err
+    assert not (tmp_path / "x.lidx").exists()
+
+
 def test_train_same_seed_byte_identical(workspace, tmp_path):
     books2 = tmp_path / "again.i2vc"
     assert main(["train", "--features", str(workspace["corpus"]),

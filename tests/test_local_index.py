@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import LocalPosting, build_local_index_oracle, postings_from_rows
 from frameseek import (LocalRecord, build_local_index, encode_frame_local,
-                       kmeans_assign, pq_encode)
+                       kmeans_assign, pq_encode, records_to_rows)
 from frameseek.geometry import (FrameGeometry, dequantize_log_scale,
                                 dequantize_theta, quantize_log_scale,
                                 quantize_theta, wrap_angle)
-from frameseek.local_index import LocalPosting
+from frameseek import local_index
+from frameseek.storage import write_local_index
 
 
 def make_records(descriptors, frame_id=0, video_id=0, rng=None):
@@ -29,33 +31,68 @@ def simple_posting(word, frame_id, codes=(0, 0, 0, 0)):
                         qx=0, qy=0, qtheta=0, qscale=0, frame_id=frame_id)
 
 
+def encode_records(records, bow, pq):
+    return encode_frame_local([(0, 0, records_to_rows(records))], bow, pq)
+
+
 # --- frame encoding --------------------------------------------------------
 
 def test_encode_empty_frame(small_bow, small_pq):
-    assert encode_frame_local([], small_bow, small_pq) == []
+    assert len(encode_frame_local([], small_bow, small_pq)) == 0
+    assert len(encode_frame_local([(0, 0, np.empty((0, 36), dtype=np.float32))],
+                                  small_bow, small_pq)) == 0
 
 
 def test_encode_descriptor_equal_to_coarse_center(small_bow, small_pq):
     records = make_records([small_bow.centers[7].astype(np.float64)])
-    posting = encode_frame_local(records, small_bow, small_pq)[0]
-    assert posting.word == 7
-    np.testing.assert_array_equal(posting.codes, pq_encode(small_pq, np.zeros(32)))
+    posting = encode_records(records, small_bow, small_pq)
+    assert posting.word[0] == 7
+    np.testing.assert_array_equal(posting.codes[0], pq_encode(small_pq, np.zeros(32)))
 
 
 def test_encode_matches_composed_oracle(small_bow, small_pq):
     gen = np.random.default_rng(60)
     records = make_records(gen.normal(size=(50, 32)), rng=gen)
-    postings = encode_frame_local(records, small_bow, small_pq)
-    for rec, posting in zip(records, postings):
+    postings = encode_records(records, small_bow, small_pq)
+    for i, rec in enumerate(records):
         word, residual = kmeans_assign(small_bow, rec.descriptor.astype(np.float64))
-        assert posting.word == word
-        np.testing.assert_array_equal(posting.codes, pq_encode(small_pq, residual))
+        assert postings.word[i] == word
+        np.testing.assert_array_equal(postings.codes[i], pq_encode(small_pq, residual))
 
 
 def test_encode_rejects_wrong_dimension(small_bow, small_pq):
     records = make_records([np.zeros(16)])
     with pytest.raises(ValueError, match="dimension"):
-        encode_frame_local(records, small_bow, small_pq)
+        encode_records(records, small_bow, small_pq)
+
+
+def test_blocked_encoding_equals_per_frame_encoding(small_bow, small_pq, monkeypatch):
+    # 11 frames of uneven size (one empty) in 7-row blocks: blocks cut through
+    # frames, and the frame ids are not in sorted order
+    gen = np.random.default_rng(64)
+    sizes = [5, 0, 13, 1, 8, 2, 9, 3, 7, 4, 6]
+    frames = [(int(fid), int(fid) % 3, records_to_rows(make_records(gen.normal(size=(n, 32)), rng=gen)))
+              for fid, n in zip(gen.permutation(100)[:len(sizes)], sizes)]
+    geometry = FrameGeometry(width=640.0, height=480.0)
+    monkeypatch.setattr(local_index, "ENCODE_BLOCK_ROWS", 7)
+    blocked = encode_frame_local(frames, small_bow, small_pq, geometry)
+    alone = [encode_frame_local([f], small_bow, small_pq, geometry) for f in frames]
+    assert len(blocked) == sum(sizes)
+    for name in ("word", "codes", "qx", "qy", "qtheta", "qscale", "frame"):
+        np.testing.assert_array_equal(getattr(blocked, name),
+                                      np.concatenate([getattr(p, name) for p in alone]))
+    np.testing.assert_array_equal(blocked.frame, np.repeat([f for f, _, _ in frames], sizes))
+
+
+def test_row_blocks_bounded_and_near_equal():
+    sizes = [5, 0, 13, 1, 8]
+    frames = [(fid, 0, np.arange(n * 36, dtype=np.float32).reshape(n, 36) + 1000 * fid)
+              for fid, n in enumerate(sizes)]
+    blocks = list(local_index._row_blocks(frames, 7))
+    lengths = [b.shape[0] for b in blocks]
+    assert lengths == [7, 7, 7, 6]  # 27 rows in ceil(27 / 7) = 4 near-equal blocks
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  np.concatenate([rows for _, _, rows in frames]))
 
 
 # --- geometry quantization ----------------------------------------------------
@@ -88,7 +125,7 @@ def test_theta_wraps_into_range():
 
 def test_prune_zero_keeps_everything():
     postings = [simple_posting(w, f) for w in range(10) for f in range(3)]
-    index = build_local_index(postings, {0: 0, 1: 0, 2: 1}, n_words=10, m=4,
+    index = build_local_index(postings_from_rows(postings), {0: 0, 1: 0, 2: 1}, n_words=10, m=4,
                               n_pq_centers=8, prune_fraction=0.0)
     assert not index.stop_mask.any()
     assert index.n_postings() == 30
@@ -99,7 +136,7 @@ def test_everywhere_word_is_stopped():
     postings = [simple_posting(0, f) for f in range(20)]
     postings += [simple_posting(w, w % 20) for w in range(1, 100)]
     frame_to_video = {f: 0 for f in range(20)}
-    index = build_local_index(postings, frame_to_video, n_words=100, m=4,
+    index = build_local_index(postings_from_rows(postings), frame_to_video, n_words=100, m=4,
                               n_pq_centers=8, prune_fraction=0.05)
     assert index.stop_mask.sum() == 5  # ceil(0.05 * 100)
     assert index.stop_mask[0]
@@ -111,7 +148,7 @@ def test_doc_freq_matches_exhaustive_scan():
     postings = [simple_posting(int(gen.integers(0, 12)), int(gen.integers(0, 8)))
                 for _ in range(300)]
     frame_to_video = {f: f // 2 for f in range(8)}
-    index = build_local_index(postings, frame_to_video, n_words=12, m=4,
+    index = build_local_index(postings_from_rows(postings), frame_to_video, n_words=12, m=4,
                               n_pq_centers=8, prune_fraction=0.0)
     for w in range(12):
         expected = len({p.frame_id for p in postings if p.word == w})
@@ -123,7 +160,7 @@ def test_doc_freq_matches_exhaustive_scan():
 
 def test_idf_positive_for_rare_retained_words():
     postings = [simple_posting(0, f) for f in range(10)] + [simple_posting(1, 0)]
-    index = build_local_index(postings, {f: 0 for f in range(10)}, n_words=50,
+    index = build_local_index(postings_from_rows(postings), {f: 0 for f in range(10)}, n_words=50,
                               m=4, n_pq_centers=8, prune_fraction=0.0)
     assert index.idf[1] > 0  # doc_freq 1 < n_frames - 1
     assert index.idf[0] == 0.0  # appears in every frame
@@ -131,7 +168,7 @@ def test_idf_positive_for_rare_retained_words():
 
 def test_stop_ties_break_toward_lower_word():
     postings = [simple_posting(w, f) for w in range(4) for f in range(3)]
-    index = build_local_index(postings, {0: 0, 1: 0, 2: 0}, n_words=4, m=4,
+    index = build_local_index(postings_from_rows(postings), {0: 0, 1: 0, 2: 0}, n_words=4, m=4,
                               n_pq_centers=8, prune_fraction=0.25)
     assert index.stop_mask.tolist() == [True, False, False, False]
 
@@ -139,7 +176,7 @@ def test_stop_ties_break_toward_lower_word():
 def test_posting_lists_sorted_by_frame():
     gen = np.random.default_rng(63)
     postings = [simple_posting(3, int(gen.integers(0, 50))) for _ in range(100)]
-    index = build_local_index(postings, {f: 0 for f in range(50)}, n_words=4,
+    index = build_local_index(postings_from_rows(postings), {f: 0 for f in range(50)}, n_words=4,
                               m=4, n_pq_centers=8, prune_fraction=0.0)
     frames = index.postings[3]["frame"]
     assert np.all(np.diff(frames.astype(np.int64)) >= 0)
@@ -148,13 +185,49 @@ def test_posting_lists_sorted_by_frame():
 def test_prune_fraction_range_validated():
     postings = [simple_posting(0, 0)]
     with pytest.raises(ValueError, match="prune_fraction"):
-        build_local_index(postings, {0: 0}, n_words=4, m=4, n_pq_centers=8,
+        build_local_index(postings_from_rows(postings), {0: 0}, n_words=4, m=4, n_pq_centers=8,
                           prune_fraction=0.5)
     with pytest.raises(ValueError, match="prune_fraction"):
-        build_local_index(postings, {0: 0}, n_words=4, m=4, n_pq_centers=8,
+        build_local_index(postings_from_rows(postings), {0: 0}, n_words=4, m=4, n_pq_centers=8,
                           prune_fraction=-0.1)
 
 
 def test_empty_posting_stream_rejected():
     with pytest.raises(ValueError, match="no postings"):
-        build_local_index([], {}, n_words=4, m=4, n_pq_centers=8)
+        build_local_index(postings_from_rows([]), {}, n_words=4, m=4, n_pq_centers=8)
+
+
+def random_posting_stream(gen, n_words, n_frames, n_postings):
+    """Random postings with repeated (word, frame) pairs, frames arriving in
+    no sorted order, and random codes and geometry."""
+    return [LocalPosting(word=int(gen.integers(0, n_words)),
+                         codes=gen.integers(0, 8, size=4).astype(np.uint8),
+                         qx=int(gen.integers(0, 65536)), qy=int(gen.integers(0, 65536)),
+                         qtheta=int(gen.integers(0, 256)), qscale=int(gen.integers(0, 256)),
+                         frame_id=int(gen.integers(0, n_frames)))
+            for _ in range(n_postings)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("prune_fraction", [0.0, 0.05, 0.25])
+def test_build_writes_oracle_lidx_bytes(seed, prune_fraction, tmp_path):
+    gen = np.random.default_rng(500 + seed)
+    n_words, n_frames = 20, 12
+    postings = random_posting_stream(gen, n_words, n_frames, 150)
+    # frame 12 has no keypoints; with two words of equal doc frequency
+    # straddling the stop cut, ties decide which is stopped
+    frame_to_video = {f: f // 3 for f in range(n_frames + 1)}
+    postings += [LocalPosting(word=w, codes=np.zeros(4, dtype=np.uint8), qx=0, qy=0,
+                              qtheta=0, qscale=0, frame_id=f)
+                 for w in (n_words - 2, n_words - 1) for f in range(n_frames)]
+    geometry = FrameGeometry(width=800.0, height=600.0)
+    args = dict(n_words=n_words, m=4, n_pq_centers=8, prune_fraction=prune_fraction,
+                geometry=geometry)
+    got = build_local_index(postings_from_rows(postings), frame_to_video, **args)
+    want = build_local_index_oracle(postings, frame_to_video, **args)
+    write_local_index(got, tmp_path / "got.lidx")
+    write_local_index(want, tmp_path / "want.lidx")
+    assert (tmp_path / "got.lidx").read_bytes() == (tmp_path / "want.lidx").read_bytes()
+    assert got.postings.keys() == want.postings.keys()
+    if prune_fraction == 0.05:  # one stop between two words in every frame
+        assert got.stop_mask[n_words - 2] and not got.stop_mask[n_words - 1]

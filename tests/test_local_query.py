@@ -9,7 +9,7 @@ from frameseek import (FrameGeometry, HoughConfig, LocalRecord,
                        PQScoreTable, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, hough_verify,
                        local_rank, pq_score, pq_score_asymmetric,
-                       query_score_mass, transform_records)
+                       query_score_mass, records_to_rows, transform_records)
 from frameseek.local_query import _theta_bin
 
 
@@ -37,6 +37,10 @@ def make_records(descriptors, frame_id=0, video_id=0, seed=0):
     return out
 
 
+def make_rows(descriptors, seed=0):
+    return records_to_rows(make_records(descriptors, seed=seed))
+
+
 def build_corpus_index(small_bow, small_pq, n_videos=4, frames_per_video=3,
                        keypoints=12, prune=0.0, seed=70):
     gen = np.random.default_rng(seed)
@@ -45,13 +49,11 @@ def build_corpus_index(small_bow, small_pq, n_videos=4, frames_per_video=3,
     fid = 0
     for video in range(n_videos):
         for _ in range(frames_per_video):
-            records = make_records(gen.normal(size=(keypoints, 32)), fid, video, seed + fid)
-            frames.append((fid, video, records))
+            rows = make_rows(gen.normal(size=(keypoints, 32)), seed + fid)
+            frames.append((fid, video, rows))
             frame_to_video[fid] = video
             fid += 1
-    postings = []
-    for _, _, records in frames:
-        postings.extend(encode_frame_local(records, small_bow, small_pq))
+    postings = encode_frame_local(frames, small_bow, small_pq)
     index = build_local_index(postings, frame_to_video, n_words=small_bow.k,
                               m=small_pq.m, n_pq_centers=small_pq.n_centers,
                               prune_fraction=prune)
@@ -121,7 +123,7 @@ def test_pq_score_asymmetric_clamped(small_pq):
 def test_collect_matches_impossible_threshold(small_bow, small_pq):
     index, frames = build_corpus_index(small_bow, small_pq)
     gen = np.random.default_rng(74)
-    query = encode_query_local(make_records(gen.normal(size=(8, 32)), seed=74),
+    query = encode_query_local(make_rows(gen.normal(size=(8, 32)), seed=74),
                                small_bow, small_pq)
     assert len(collect_matches(query, index, small_pq, tau_pq=1 - 1e-9)) == 0
 
@@ -139,8 +141,8 @@ def test_collect_matches_planted_identical_posting(small_bow, small_pq):
 def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
     index, frames = build_corpus_index(small_bow, small_pq, prune=0.1)
     gen = np.random.default_rng(75)
-    query_records = make_records(gen.normal(size=(15, 32)), seed=75)
-    query = encode_query_local(query_records, small_bow, small_pq)
+    query_rows = make_rows(gen.normal(size=(15, 32)), seed=75)
+    query = encode_query_local(query_rows, small_bow, small_pq)
     table = PQScoreTable(small_pq)
     for tau in (0.5, 0.72, 0.9):
         got = match_rows(collect_matches(query, index, table, tau_pq=tau))
@@ -160,8 +162,8 @@ def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
 def test_collect_matches_asymmetric_equals_full_scan_oracle(small_bow, small_pq):
     index, frames = build_corpus_index(small_bow, small_pq, prune=0.1)
     gen = np.random.default_rng(83)
-    query_records = make_records(gen.normal(size=(15, 32)), seed=83)
-    query = encode_query_local(query_records, small_bow, small_pq, keep_residuals=True)
+    query_rows = make_rows(gen.normal(size=(15, 32)), seed=83)
+    query = encode_query_local(query_rows, small_bow, small_pq, keep_residuals=True)
     # raw residuals sit far from these small codebooks, so scores stay low
     for tau in (0.05, 0.15, 0.2):
         got = match_rows(collect_matches(query, index, small_pq, tau_pq=tau, asymmetric=True))
@@ -178,7 +180,7 @@ def test_collect_matches_asymmetric_equals_full_scan_oracle(small_bow, small_pq)
         assert got == expected
         if tau == 0.05:
             assert got  # the comparison is not vacuous
-    plain = encode_query_local(query_records, small_bow, small_pq)
+    plain = encode_query_local(query_rows, small_bow, small_pq)
     with pytest.raises(ValueError, match="residuals"):
         collect_matches(plain, index, small_pq, tau_pq=0.5, asymmetric=True)
 
@@ -351,7 +353,7 @@ def test_local_rank_self_retrieval_scores_one(small_bow, small_pq):
 def test_local_rank_disjoint_vocabulary_empty(small_bow, small_pq):
     index, _ = build_corpus_index(small_bow, small_pq)
     gen = np.random.default_rng(78)
-    records = make_records(gen.normal(size=(6, 32)), seed=78)
+    records = make_rows(gen.normal(size=(6, 32)), seed=78)
     # drop every inverted list the query would touch: no shared words at all
     query_words = {p.word for p in encode_query_local(records, small_bow, small_pq)}
     index.postings = {w: arrs for w, arrs in index.postings.items()
@@ -378,20 +380,19 @@ def test_local_rank_planted_transformed_copies_top3(small_bow, small_pq):
         frames.append((fid, video, records))
         frame_to_video[fid] = video
         fid += 1
-    postings = []
-    for _, _, records in frames:
-        postings.extend(encode_frame_local(records, small_bow, small_pq))
+    postings = encode_frame_local([(f, v, records_to_rows(r)) for f, v, r in frames],
+                                  small_bow, small_pq)
     index = build_local_index(postings, frame_to_video, n_words=small_bow.k,
                               m=small_pq.m, n_pq_centers=small_pq.n_centers,
                               prune_fraction=0.0)
-    ranked = local_rank(base, index, small_bow, small_pq, tau_pq=0.72, top_n=20)
+    ranked = local_rank(records_to_rows(base), index, small_bow, small_pq, tau_pq=0.72, top_n=20)
     assert {v for v, _ in ranked.entries[:3]} == {0, 1, 2}
 
 
 def test_local_rank_order_invariant_under_idf_rescale(small_bow, small_pq):
     index, frames = build_corpus_index(small_bow, small_pq, prune=0.0)
     gen = np.random.default_rng(80)
-    records = make_records(gen.normal(0, 0.5, size=(10, 32)), seed=80)
+    records = make_rows(gen.normal(0, 0.5, size=(10, 32)), seed=80)
     before = local_rank(records, index, small_bow, small_pq, tau_pq=0.5, top_n=20)
     index.idf = index.idf * 7.5
     after = local_rank(records, index, small_bow, small_pq, tau_pq=0.5, top_n=20)
@@ -401,7 +402,7 @@ def test_local_rank_order_invariant_under_idf_rescale(small_bow, small_pq):
 def test_local_rank_deterministic(small_bow, small_pq):
     index, frames = build_corpus_index(small_bow, small_pq)
     gen = np.random.default_rng(81)
-    records = make_records(gen.normal(0, 0.5, size=(10, 32)), seed=81)
+    records = make_rows(gen.normal(0, 0.5, size=(10, 32)), seed=81)
     a = local_rank(records, index, small_bow, small_pq, tau_pq=0.6, top_n=20)
     b = local_rank(records, index, small_bow, small_pq, tau_pq=0.6, top_n=20)
     assert a.entries == b.entries

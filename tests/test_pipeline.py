@@ -5,7 +5,10 @@ from frameseek.config import EngineConfig, load_config_file
 from frameseek.pipeline import (build_global_index_from_files,
                                 build_local_index_from_files,
                                 check_compatible_global,
-                                check_compatible_local, train_codebooks)
+                                check_compatible_local, query_global_file,
+                                query_local_file, train_codebooks)
+from frameseek.storage import (read_global_features, read_local_descriptors,
+                               write_global_features, write_local_descriptors)
 from frameseek.synth import SynthSpec, generate, write_corpus
 
 
@@ -81,3 +84,56 @@ def test_engine_config_override_and_file(tmp_path):
     cfg = tmp_path / "e.cfg"
     cfg.write_text("# comment\nd_bow=128\ntau_pq=0.66\n")
     assert load_config_file(cfg) == {"d_bow": 128, "tau_pq": 0.66}
+
+
+CHANNELS = {
+    "local": (read_local_descriptors, write_local_descriptors, ".ldsc",
+              build_local_index_from_files),
+    "global": (read_global_features, write_global_features, ".gdsc",
+               build_global_index_from_files),
+}
+
+
+def reference_frames(paths, channel):
+    read = CHANNELS[channel][0]
+    return read(paths["ref_" + channel])
+
+
+@pytest.mark.parametrize("channel", ["local", "global"])
+def test_build_rejects_frame_id_repeated_within_file(trained, tmp_path, channel):
+    paths, config, books = trained
+    _, write, suffix, build = CHANNELS[channel]
+    frames = reference_frames(paths, channel)
+    bad = tmp_path / ("repeat" + suffix)
+    write(frames[:3] + [(frames[1][0], 5, frames[3][2])], bad)
+    with pytest.raises(ValueError, match=f"repeat{suffix}: duplicate frame id {frames[1][0]}"):
+        build([bad], books, config)
+
+
+@pytest.mark.parametrize("channel", ["local", "global"])
+def test_build_rejects_frame_id_repeated_across_files(trained, tmp_path, channel):
+    paths, config, books = trained
+    _, write, suffix, build = CHANNELS[channel]
+    frames = reference_frames(paths, channel)
+    first, second = tmp_path / ("a" + suffix), tmp_path / ("b" + suffix)
+    write(frames[:4], first)
+    write(frames[4:6] + [(frames[0][0], 3, frames[0][2])], second)
+    with pytest.raises(ValueError, match=f"b{suffix}: duplicate frame id {frames[0][0]}"):
+        build([first, second], books, config)
+    write(frames[4:], second)  # disjoint ids are accepted
+    split = build([first, second], books, config)
+    indexed = split.n_frames if channel == "local" else split.n_signatures
+    assert indexed == len(frames)
+
+
+@pytest.mark.parametrize("channel", ["local", "global"])
+def test_query_file_rejects_repeated_query_id(trained, tmp_path, channel):
+    paths, config, books = trained
+    read, write, suffix, build = CHANNELS[channel]
+    index = build([paths["ref_" + channel]], books, config)
+    queries = read(paths["query_" + channel])
+    bad = tmp_path / ("queries" + suffix)
+    write(queries + [queries[0]], bad)
+    query = query_local_file if channel == "local" else query_global_file
+    with pytest.raises(ValueError, match=f"queries{suffix}: duplicate frame id {queries[0][0]}"):
+        query(bad, index, books, config)

@@ -1,13 +1,16 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frameseek import (CodebookSet, FrameGeometry, LocalRecord,
                        binary_centers_train, build_global_index,
                        build_local_index, encode_frame_local, gmm_train,
-                       make_signature, pca_fit, pq_train)
+                       make_signature, pca_fit, pq_train, records_to_rows)
 from frameseek.bits import pack_bits
 from frameseek.global_index import GlobalSignature
 from frameseek import storage
@@ -99,16 +102,16 @@ def test_local_descriptors_roundtrip(tmp_path):
     gen = np.random.default_rng(111)
     frames = random_frames(gen)
     p1, p2 = tmp_path / "a.ldsc", tmp_path / "b.ldsc"
-    write_local_descriptors(frames, p1)
+    write_local_descriptors([(f, v, records_to_rows(r)) for f, v, r in frames], p1)
     loaded = read_local_descriptors(p1)
     write_local_descriptors(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(loaded) == len(frames)
     got = loaded[2][2][3]
     want = frames[2][2][3]
-    assert got.frame_id == want.frame_id and got.video_id == want.video_id
-    np.testing.assert_allclose(got.x, want.x, rtol=1e-6)
-    np.testing.assert_array_equal(got.descriptor, want.descriptor)
+    assert loaded[2][:2] == (want.frame_id, want.video_id)
+    np.testing.assert_allclose(got[0], want.x, rtol=1e-6)
+    np.testing.assert_array_equal(got[4:], want.descriptor)
 
 
 def test_local_descriptors_text_variant(tmp_path):
@@ -118,10 +121,10 @@ def test_local_descriptors_text_variant(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     frames = read_local_descriptors(p)
     assert len(frames) == 1
-    fid, vid, records = frames[0]
-    assert (fid, vid, len(records)) == (3, 1, 2)
-    assert records[0].x == 100.5 and records[1].theta == -0.25
-    assert records[0].descriptor.shape == (128,)
+    fid, vid, rows = frames[0]
+    assert (fid, vid, len(rows)) == (3, 1, 2)
+    assert rows[0, 0] == 100.5 and rows[1, 2] == -0.25
+    assert rows[0, 4:].shape == (128,)
 
 
 def test_local_descriptors_text_bad_column_count(tmp_path):
@@ -129,6 +132,86 @@ def test_local_descriptors_text_bad_column_count(tmp_path):
     p.write_text("3 1 0.0 0.0 0.0 0.0 1.0 2.0\n")
     with pytest.raises(FileFormatError, match="expected 134 fields"):
         read_local_descriptors(p)
+
+
+def small_ldsc(tmp_path, sizes=(2, 0, 1)):
+    gen = np.random.default_rng(115)
+    frames = [(fid, 7, gen.normal(size=(n, 132)).astype(np.float32))
+              for fid, n in enumerate(sizes)]
+    path = tmp_path / "small.ldsc"
+    write_local_descriptors(frames, path)
+    return path, frames
+
+
+def test_local_descriptors_every_truncation_rejected(tmp_path):
+    path, frames = small_ldsc(tmp_path)
+    data = path.read_bytes()
+    # a cut on a frame boundary leaves a shorter, valid file
+    boundaries = {0: 0, 6: 0}
+    end = 6
+    for i, (_, _, rows) in enumerate(frames):
+        end += 12 + rows.nbytes
+        boundaries[end] = i + 1
+    cut_path = tmp_path / "cut.ldsc"
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        if cut in boundaries:
+            assert len(read_local_descriptors(cut_path)) == boundaries[cut]
+        else:
+            with pytest.raises(FileFormatError):
+                read_local_descriptors(cut_path)
+
+
+@pytest.mark.parametrize("count", [2 ** 20, 2 ** 32 - 1])
+def test_local_descriptors_huge_count_rejected_before_allocation(tmp_path, count):
+    path, _ = small_ldsc(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[6 + 8:6 + 12] = struct.pack("<I", count)  # first frame's n
+    path.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_local_descriptors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) + 64 * 1024
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_local_descriptors_mutated_bytes_parse_or_raise_format_error(tmp_path, edits):
+    path, _ = small_ldsc(tmp_path)
+    data = bytearray(path.read_bytes())
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    path.write_bytes(bytes(data))
+    try:
+        frames = read_local_descriptors(path)
+    except FileFormatError:
+        return
+    for _, _, rows in frames:
+        assert rows.dtype == np.float32 and rows.ndim == 2 and rows.shape[1] == 132
+
+
+def test_local_descriptors_undecodable_text_rejected(tmp_path):
+    p = tmp_path / "junk.ldsc"
+    p.write_bytes(b"\xff\xfe\x00binary")
+    with pytest.raises(FileFormatError):
+        read_local_descriptors(p)
+
+
+@pytest.mark.parametrize("ids", [(-1, 0), (2 ** 32, 0), (0, -1), (0, 2 ** 32)])
+def test_descriptor_writers_reject_ids_outside_u32(tmp_path, ids):
+    fid, vid = ids
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
+        write_local_descriptors([(fid, vid, np.zeros((1, 132), dtype=np.float32))],
+                                tmp_path / "x.ldsc")
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
+        write_global_features([(fid, vid, np.zeros((1, 384), dtype=np.float32))],
+                              tmp_path / "x.gdsc")
 
 
 def test_global_features_roundtrip(tmp_path):
@@ -156,11 +239,8 @@ def test_local_index_roundtrip_and_rebuild_identical(small_bow, small_pq, tmp_pa
     geometry = FrameGeometry()
 
     def build():
-        postings = []
-        for _, _, records in frames:
-            recs32 = [LocalRecord(r.frame_id, r.video_id, r.x, r.y, r.theta,
-                                  r.log_scale, r.descriptor[:32]) for r in records]
-            postings.extend(encode_frame_local(recs32, small_bow, small_pq, geometry))
+        rows32 = [(f, v, records_to_rows(records)[:, :36]) for f, v, records in frames]
+        postings = encode_frame_local(rows32, small_bow, small_pq, geometry)
         return build_local_index(postings, {f: v for f, v, _ in frames},
                                  n_words=small_bow.k, m=small_pq.m,
                                  n_pq_centers=small_pq.n_centers,
