@@ -163,44 +163,46 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest center of each row (lowest index on ties) and its squared
-    distance, computed over blocks of at most ASSIGN_BLOCK_ROWS rows.
+def _row_spans(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of near-equal blocks of at most ASSIGN_BLOCK_ROWS rows.
 
     The blocks are of near-equal size rather than full blocks plus a short
     tail: BLAS rounds a product of a few rows differently from the same rows
     inside a larger product, and near-equal blocks keep every block large.
     """
-    n = points.shape[0]
     n_blocks = max(1, -(-n // ASSIGN_BLOCK_ROWS))
+    return [(b * n // n_blocks, (b + 1) * n // n_blocks) for b in range(n_blocks)]
+
+
+def _nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center of each row (lowest index on ties) and its squared
+    distance, computed over row blocks (`_row_spans`)."""
+    n = points.shape[0]
     assign = np.empty(n, dtype=np.int64)
     nearest = np.empty(n, dtype=np.float64)
-    for b in range(n_blocks):
-        lo, hi = b * n // n_blocks, (b + 1) * n // n_blocks
+    for lo, hi in _row_spans(n):
         d2 = _squared_distances(points[lo:hi], centers)
         assign[lo:hi] = np.argmin(d2, axis=1)
         nearest[lo:hi] = d2[np.arange(hi - lo), assign[lo:hi]]
     return assign, nearest
 
 
-def _plusplus_seeds(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted random seeding: probability proportional to squared
-    distance to the nearest already-chosen seed."""
-    n = samples.shape[0]
-    seeds = np.empty((k, samples.shape[1]), dtype=np.float64)
-    seeds[0] = samples[int(rng.integers(n))]
-    diff = samples - seeds[0]
-    closest = np.einsum("ij,ij->i", diff, diff)
+def _plusplus_seeds(n: int, k: int, rng: np.random.Generator, distances_to) -> np.ndarray:
+    """Indices of k distance-weighted random seeds among n rows: each draw
+    has probability proportional to the squared distance to the nearest
+    seed already chosen. distances_to(i) gives the squared distances from
+    every row to row i."""
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    closest = distances_to(chosen[0])
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=closest / total))
+            chosen[j] = rng.choice(n, p=closest / total)
         else:  # unreachable when the caller guarantees k distinct rows
-            idx = int(rng.integers(n))
-        seeds[j] = samples[idx]
-        diff = samples - seeds[j]
-        np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
-    return seeds
+            chosen[j] = rng.integers(n)
+        np.minimum(closest, distances_to(chosen[j]), out=closest)
+    return chosen
 
 
 def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> KMeansModel:
@@ -221,8 +223,12 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
     if np.unique(samples, axis=0).shape[0] < k:
         raise ValueError("insufficient samples: need at least k distinct rows")
 
+    def squared_distances_to(i):
+        diff = samples - samples[i]
+        return np.einsum("ij,ij->i", diff, diff)
+
     rng = np.random.default_rng(seed)
-    centers = _plusplus_seeds(samples, k, rng)
+    centers = samples[_plusplus_seeds(samples.shape[0], k, rng, squared_distances_to)]
     trace = []
     for _ in range(max(1, iters)):
         assign, nearest = _nearest_centers(samples, centers)
@@ -356,18 +362,31 @@ def pca_project(model: PCAModel, v: np.ndarray) -> np.ndarray:
 def gmm_log_posteriors(model: GMMModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample log responsibilities and log-likelihoods.
 
+    The Mahalanobis term sum_d (x - mu)^2 / sigma^2 expands into
+    x^2 . (1 / sigma^2) - 2 x . (mu / sigma^2) + sum_d mu^2 / sigma^2, so the
+    log joint densities take two matrix products per row block
+    (`_row_spans`): memory grows with n * k, never with n * k * d.
+
     Returns:
         (log_gamma, log_lik) with shapes (n, k) and (n,).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    log_w = np.log(model.weights)
-    log_norm = -0.5 * (model.d * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1))
-    diff = x[:, None, :] - model.means[None, :, :]
-    mahal = np.einsum("nkd,kd->nk", diff * diff, 1.0 / model.variances)
-    joint = log_w[None, :] + log_norm[None, :] - 0.5 * mahal
+    neg_half_precision = -0.5 / model.variances  # (k, d)
+    scaled_means = model.means / model.variances
+    offset = np.log(model.weights) - 0.5 * (
+        model.d * np.log(2.0 * np.pi)
+        + (np.log(model.variances) + model.means * scaled_means).sum(axis=1))
+
+    def log_joint(block):
+        return (block * block) @ neg_half_precision.T + block @ scaled_means.T + offset
+
+    blocks = [log_joint(x[lo:hi]) for lo, hi in _row_spans(x.shape[0])]
+    joint = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    del blocks
     peak = joint.max(axis=1, keepdims=True)
     log_lik = peak[:, 0] + np.log(np.exp(joint - peak).sum(axis=1))
-    return joint - log_lik[:, None], log_lik
+    joint -= log_lik[:, None]
+    return joint, log_lik
 
 
 def gmm_posteriors(model: GMMModel, x: np.ndarray) -> np.ndarray:
@@ -444,8 +463,13 @@ def binary_centers_train(codes: np.ndarray, n_bits: int, k: int = 32,
     if np.unique(packed, axis=0).shape[0] < k:
         raise ValueError("insufficient samples: need at least k distinct codes")
 
+    # on 0/1 vectors the squared distance is the Hamming distance, an integer
+    # that float64 holds exactly, so seeding on the packed codes draws the
+    # same rows as seeding on float64 copies of the bits; repacking zeroes
+    # any pad bits past n_bits, which the distance must not count
+    clean = pack_bits(bits)
     rng = np.random.default_rng(seed)
-    centers = (_plusplus_seeds(bits.astype(np.float64), k, rng) > 0.5).astype(np.uint8)
+    centers = bits[_plusplus_seeds(n, k, rng, lambda i: hamming_to_many(clean[i], clean))]
 
     trace = []
     for _ in range(max(1, iters)):

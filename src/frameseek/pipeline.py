@@ -41,10 +41,6 @@ def _sample_index(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
-def _subsample(rows: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    return rows[_sample_index(rows.shape[0], cap, rng)]
-
-
 def _take_rows(frames, index: np.ndarray) -> np.ndarray:
     """Rows `index` (sorted) of the frames' row blocks laid end to end,
     gathered without joining the blocks first."""
@@ -55,7 +51,14 @@ def _take_rows(frames, index: np.ndarray) -> np.ndarray:
         if hi > lo:
             parts.append(rows[index[lo:hi] - (end - rows.shape[0])])
         lo = hi
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else frames[0][2][:0]
+
+
+def _sample_rows(frames, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """float64 copy of at most cap rows drawn from the frames' row blocks
+    laid end to end; only the drawn rows are gathered and converted."""
+    n_rows = sum(rows.shape[0] for _, _, rows in frames)
+    return _take_rows(frames, _sample_index(n_rows, cap, rng)).astype(np.float64)
 
 
 def _read_frames(paths, read) -> list:
@@ -124,14 +127,10 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
         return frames
 
     frames = load_features(global_files)
-    pooled = np.concatenate([f for _, _, f in frames]).astype(np.float64)
-    if pca_files:
-        pca_pool = np.concatenate([f for _, _, f in load_features(pca_files)]).astype(np.float64)
-    else:
-        pca_pool = pooled
-    pca = pca_fit(_subsample(pca_pool, config.max_train_samples, rng), config.pca_dim)
-
-    projected = pca_project(pca, _subsample(pooled, config.max_train_samples, rng))
+    pca_frames = load_features(pca_files) if pca_files else frames
+    pca = pca_fit(_sample_rows(pca_frames, config.max_train_samples, rng), config.pca_dim)
+    del pca_frames
+    projected = pca_project(pca, _sample_rows(frames, config.max_train_samples, rng))
     gmm = gmm_train(projected, config.d_fk, iters=config.gmm_iters, seed=config.seed + 2)
 
     signatures = [make_signature(fid, vid, fisher_vector(pca_project(pca, feats), gmm))

@@ -242,7 +242,11 @@ def _read_local_text(path: Path) -> list[tuple[int, int, np.ndarray]]:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
         if not (0 <= frame_id <= _U32_MAX and 0 <= video_id <= _U32_MAX):
             raise FileFormatError(f"{path}:{lineno}: id outside [0, 2^32)")
-        frames.setdefault(frame_id, (video_id, []))[1].append(row)
+        first_video, rows = frames.setdefault(frame_id, (video_id, []))
+        if first_video != video_id:
+            raise FileFormatError(f"{path}:{lineno}: frame {frame_id} has video ids "
+                                  f"{first_video} and {video_id}")
+        rows.append(row)
     return [(fid, vid, np.array(rows, dtype=np.float32)) for fid, (vid, rows) in frames.items()]
 
 

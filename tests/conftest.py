@@ -163,3 +163,36 @@ def hough_verify_oracle(candidates, cfg=None, query_diagonal=None):
         frame: max(sum(best.values()) for best in bins.values())
         for frame, bins in acc.items()
     }
+
+
+# --- broadcast GMM posteriors and float64 binary seeding, kept as oracles -----
+
+def gmm_log_posteriors_oracle(model, x):
+    """Mahalanobis terms from the full (n, k, d) difference array."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    log_w = np.log(model.weights)
+    log_norm = -0.5 * (model.d * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1))
+    diff = x[:, None, :] - model.means[None, :, :]
+    mahal = np.einsum("nkd,kd->nk", diff * diff, 1.0 / model.variances)
+    joint = log_w[None, :] + log_norm[None, :] - 0.5 * mahal
+    peak = joint.max(axis=1, keepdims=True)
+    log_lik = peak[:, 0] + np.log(np.exp(joint - peak).sum(axis=1))
+    return joint - log_lik[:, None], log_lik
+
+
+def plusplus_seeds_oracle(samples, k, rng):
+    """Distance-weighted seeding on float64 rows (for binary codes, their
+    0/1 bits): probability proportional to the squared distance to the
+    nearest chosen seed."""
+    n = samples.shape[0]
+    seeds = np.empty((k, samples.shape[1]), dtype=np.float64)
+    seeds[0] = samples[int(rng.integers(n))]
+    diff = samples - seeds[0]
+    closest = np.einsum("ij,ij->i", diff, diff)
+    for j in range(1, k):
+        total = closest.sum()
+        idx = int(rng.choice(n, p=closest / total)) if total > 0 else int(rng.integers(n))
+        seeds[j] = samples[idx]
+        diff = samples - seeds[j]
+        np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
+    return seeds

@@ -200,3 +200,16 @@ def test_threads_do_not_change_output(workspace, tmp_path):
     assert main([*base, "--threads", "1", "--out", str(one)]) == 0
     assert main([*base, "--threads", "4", "--out", str(four)]) == 0
     assert one.read_bytes() == four.read_bytes()
+
+
+def test_text_frame_with_two_videos_clean_error(workspace, tmp_path, capsys):
+    desc = " ".join("0.5" for _ in range(128))
+    refs = tmp_path / "refs.ldsc"  # the text variant, routed by extension
+    refs.write_text(f"0 0 10.0 20.0 0.0 1.0 {desc}\n0 1 30.0 40.0 0.0 1.0 {desc}\n")
+    rc = main(["index-local", "--codebooks", str(workspace["books"]),
+               "--features", str(refs), "--out", str(tmp_path / "x.lidx")])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error=") and "\n" not in err.strip()
+    assert "refs.ldsc:2: frame 0 has video ids 0 and 1" in err
+    assert not (tmp_path / "x.lidx").exists()

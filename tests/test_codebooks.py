@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from frameseek import (BinaryCenters, KMeansModel, binary_centers_train,
-                       gmm_train, kmeans_assign, kmeans_train, pca_fit,
-                       pca_project, pq_encode, pq_train)
+from conftest import gmm_log_posteriors_oracle, plusplus_seeds_oracle
+from frameseek import (BinaryCenters, GMMModel, KMeansModel,
+                       binary_centers_train, gmm_train, kmeans_assign,
+                       kmeans_train, pca_fit, pca_project, pq_encode, pq_train)
+from frameseek import codebooks
 from frameseek.bits import hamming_to_many, pack_bits, unpack_bits
-from frameseek.codebooks import VARIANCE_FLOOR, gmm_log_posteriors
+from frameseek.codebooks import (ASSIGN_BLOCK_ROWS, VARIANCE_FLOOR,
+                                 gmm_log_posteriors)
 
 
 # --- k-means -------------------------------------------------------------
@@ -256,6 +261,49 @@ def test_gmm_posteriors_rows_sum_to_one():
     np.testing.assert_allclose(np.exp(log_gamma).sum(axis=1), np.ones(50), atol=1e-12)
 
 
+def random_gmm(gen, k, d):
+    """Random mixture whose first component sits at the variance floor in
+    every dimension and whose second does in half of them."""
+    weights = gen.uniform(0.1, 1.0, size=k)
+    variances = gen.uniform(0.05, 4.0, size=(k, d))
+    variances[0] = VARIANCE_FLOOR
+    if k > 1:
+        variances[1, : d // 2 + 1] = VARIANCE_FLOOR
+    return GMMModel(weights=weights / weights.sum(), means=gen.normal(0, 2, size=(k, d)),
+                    variances=variances)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2 * ASSIGN_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("k,d", [(1, 1), (4, 16), (8, 3), (24, 40)])
+def test_gmm_log_posteriors_equal_broadcast_oracle(n, k, d):
+    gen = np.random.default_rng(1000 * n + 10 * k + d)
+    model = random_gmm(gen, k, d)
+    x = gen.normal(0, 2, size=(n, d))
+    x[0] = model.means[0]  # a sample on a floor-variance component's mean
+    log_gamma, log_lik = gmm_log_posteriors(model, x)
+    want_gamma, want_lik = gmm_log_posteriors_oracle(model, x)
+    assert log_gamma.shape == (n, k) and log_lik.shape == (n,)
+    # log-posteriors of far-off floor components reach 1e8, where one ulp is
+    # above 1e-9, so numpy's default rtol stays on for the log values
+    np.testing.assert_allclose(log_gamma, want_gamma, atol=1e-9)
+    np.testing.assert_allclose(log_lik, want_lik, atol=1e-9)
+    np.testing.assert_allclose(np.exp(log_gamma), np.exp(want_gamma), rtol=0, atol=1e-9)
+
+
+def test_gmm_log_posteriors_memory_bounded():
+    gen = np.random.default_rng(26)
+    model = random_gmm(gen, 64, 64)
+    x = gen.normal(size=(20_000, 64))
+    tracemalloc.start()
+    try:
+        gmm_log_posteriors(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (n, k, d) float64 array alone would be 20,000 * 64 * 64 * 8 B = 655 MB
+    assert peak < 64 * 2 ** 20
+
+
 # --- binary centers ------------------------------------------------------------
 
 def test_binary_k1_is_majority():
@@ -316,3 +364,50 @@ def test_binary_assign_is_exhaustive_argmin():
         code = pack_bits(gen.integers(0, 2, size=64).astype(np.uint8))
         dists = hamming_to_many(code, centers.centers)
         assert binary_assign(centers, code) == int(np.argmin(dists))
+
+
+def float64_seeds(bits):
+    """Stand-in for `_plusplus_seeds` that seeds with the float64 oracle on
+    the unpacked bits and returns the first row equal to each seed."""
+    def seeds(n, k, rng, distances_to):
+        samples = bits.astype(np.float64)
+        rows = plusplus_seeds_oracle(samples, k, rng)
+        return np.array([np.flatnonzero((samples == row).all(axis=1))[0] for row in rows])
+    return seeds
+
+
+@pytest.mark.parametrize("n_bits", [8, 45, 256])
+@pytest.mark.parametrize("seed", [0, 1, 27])
+def test_binary_hamming_seeding_equals_float64_oracle(monkeypatch, n_bits, seed):
+    gen = np.random.default_rng(seed + n_bits)
+    bits = gen.integers(0, 2, size=(120, n_bits)).astype(np.uint8)
+    bits[60:80] = bits[:20]  # repeated codes give zero-distance rows
+    codes = pack_bits(bits)
+    if n_bits % 8:  # set the pad bits, which training must ignore
+        codes[:, -1] |= gen.integers(0, 256, size=120, dtype=np.uint8) & ((0xFF << n_bits % 8) & 0xFF)
+    got = binary_centers_train(codes, n_bits, k=9, iters=6, seed=seed)
+    monkeypatch.setattr(codebooks, "_plusplus_seeds", float64_seeds(bits))
+    want = binary_centers_train(codes, n_bits, k=9, iters=6, seed=seed)
+    np.testing.assert_array_equal(got.centers, want.centers)
+    np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
+
+
+@pytest.mark.parametrize("space", ["hamming", "euclidean"])
+def test_plusplus_seeds_draw_like_float64_oracle(space):
+    gen = np.random.default_rng(28)
+    if space == "hamming":
+        bits = gen.integers(0, 2, size=(200, 37)).astype(np.uint8)
+        packed, samples = pack_bits(bits), bits.astype(np.float64)
+
+        def distances_to(i):
+            return hamming_to_many(packed[i], packed)
+    else:
+        samples = gen.normal(size=(200, 5))
+
+        def distances_to(i):
+            diff = samples - samples[i]
+            return np.einsum("ij,ij->i", diff, diff)
+    rng_seeds, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    chosen = codebooks._plusplus_seeds(200, 12, rng_seeds, distances_to)
+    np.testing.assert_array_equal(samples[chosen], plusplus_seeds_oracle(samples, 12, rng_oracle))
+    assert rng_seeds.bit_generator.state == rng_oracle.bit_generator.state

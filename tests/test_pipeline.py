@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from frameseek.config import EngineConfig, load_config_file
-from frameseek.pipeline import (build_global_index_from_files,
+from frameseek.pipeline import (_sample_index, _sample_rows,
+                                build_global_index_from_files,
                                 build_local_index_from_files,
                                 check_compatible_global,
                                 check_compatible_local, query_global_file,
@@ -22,6 +23,28 @@ def trained(tmp_path_factory):
                           train_iters=8, gmm_iters=10, seed=55)
     books = train_codebooks([paths["ref_local"]], [paths["ref_global"]], config)
     return paths, config, books
+
+
+@pytest.mark.parametrize("cap", [1, 5, 17, 40])
+def test_sampled_rows_equal_joined_then_subsampled(cap):
+    gen = np.random.default_rng(56)
+    frames = [(fid, 0, gen.normal(size=(n, 3)).astype(np.float32))
+              for fid, n in enumerate([4, 0, 7, 1, 5])]
+    joined = np.concatenate([rows for _, _, rows in frames]).astype(np.float64)
+    rng_rows, rng_joined = np.random.default_rng(cap), np.random.default_rng(cap)
+    got = _sample_rows(frames, cap, rng_rows)
+    want = joined[_sample_index(joined.shape[0], cap, rng_joined)]
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+    assert rng_rows.bit_generator.state == rng_joined.bit_generator.state
+
+
+def test_training_on_featureless_global_frames_names_the_cause(trained, tmp_path):
+    paths, config, _ = trained
+    empty = tmp_path / "empty.gdsc"
+    write_global_features([(0, 0, np.empty((0, 384), dtype=np.float32))], empty)
+    with pytest.raises(ValueError, match="need more samples than output dimensions"):
+        train_codebooks([paths["ref_local"]], [empty], config)
 
 
 def test_compatibility_error_names_both_parameter_sets(trained):

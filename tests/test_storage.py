@@ -127,6 +127,16 @@ def test_local_descriptors_text_variant(tmp_path):
     assert rows[0, 4:].shape == (128,)
 
 
+def test_local_descriptors_text_frame_with_two_videos_rejected(tmp_path):
+    desc = " ".join("0" for _ in range(128))
+    lines = [f"3 1 1.0 2.0 0.0 1.0 {desc}", f"4 1 1.0 2.0 0.0 1.0 {desc}",
+             f"3 2 5.0 6.0 0.0 1.0 {desc}"]
+    p = tmp_path / "frames.txt"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=r"frames\.txt:3: frame 3 has video ids 1 and 2"):
+        read_local_descriptors(p)
+
+
 def test_local_descriptors_text_bad_column_count(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("3 1 0.0 0.0 0.0 0.0 1.0 2.0\n")
@@ -229,6 +239,69 @@ def test_global_features_dimension_enforced(tmp_path):
     with pytest.raises(FileFormatError, match="expected 384"):
         write_global_features([(0, 0, np.zeros((2, 100), dtype=np.float32))],
                               tmp_path / "x.gdsc")
+
+
+def small_gdsc(tmp_path, sizes=(2, 0, 1)):
+    gen = np.random.default_rng(116)
+    frames = [(fid, 7, gen.normal(size=(n, 384)).astype(np.float32))
+              for fid, n in enumerate(sizes)]
+    path = tmp_path / "small.gdsc"
+    write_global_features(frames, path)
+    return path, frames
+
+
+def test_global_features_every_truncation_rejected(tmp_path):
+    path, frames = small_gdsc(tmp_path)
+    data = path.read_bytes()
+    # a cut on a frame boundary leaves a shorter, valid file
+    boundaries = {6: 0}
+    end = 6
+    for i, (_, _, features) in enumerate(frames):
+        end += 12 + features.nbytes
+        boundaries[end] = i + 1
+    cut_path = tmp_path / "cut.gdsc"
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        if cut in boundaries:
+            assert len(read_global_features(cut_path)) == boundaries[cut]
+        else:
+            with pytest.raises(FileFormatError):
+                read_global_features(cut_path)
+
+
+@pytest.mark.parametrize("count", [2 ** 20, 2 ** 32 - 1])
+def test_global_features_huge_count_rejected_before_allocation(tmp_path, count):
+    path, _ = small_gdsc(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[6 + 8:6 + 12] = struct.pack("<I", count)  # first frame's n
+    path.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_global_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) + 64 * 1024
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_global_features_mutated_bytes_parse_or_raise_format_error(tmp_path, edits):
+    path, _ = small_gdsc(tmp_path)
+    data = bytearray(path.read_bytes())
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    path.write_bytes(bytes(data))
+    try:
+        frames = read_global_features(path)
+    except FileFormatError:
+        return
+    for _, _, features in frames:
+        assert features.dtype == np.float32 and features.ndim == 2
+        assert features.shape[1] == 384
 
 
 # --- indices ----------------------------------------------------------------------
