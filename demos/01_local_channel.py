@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 
-from frameseek import (FrameGeometry, LocalRecord, build_local_index,
-                       collect_matches, encode_frame_local, encode_query_local,
-                       hough_verify, kmeans_train, local_rank, pq_score,
-                       pq_train, records_to_rows, transform_records)
+from frameseek import (FrameGeometry, LocalRecord, PQScoreTable,
+                       build_local_index, collect_matches, encode_frame_local,
+                       encode_query_local, hough_verify, kmeans_train,
+                       local_rank, pq_train, records_to_rows,
+                       transform_records)
 from frameseek.codebooks import kmeans_assign_batch
 
 rng = np.random.default_rng(7)
@@ -30,10 +31,18 @@ print(f"max center-pair distance per subspace: {np.round(pq.max_dist, 3)}")
 
 print()
 print("=== 2. PQ similarity is a normalized, table-driven score in [0, 1] ===")
+table = PQScoreTable(pq)  # one (n_centers, n_centers) table per subspace
+
+
+def table_score(a, b):
+    """Mean over subspaces of the table entry for each pair of sub-codes."""
+    return float(np.mean([t[i, j] for t, i, j in zip(table.tables, a, b)]))
+
+
 codes_a = rng.integers(0, 16, size=8).astype(np.uint8)
 codes_b = rng.integers(0, 16, size=8).astype(np.uint8)
-print(f"score(a, a) = {pq_score(codes_a, codes_a, pq):.3f}  (identical codes)")
-print(f"score(a, b) = {pq_score(codes_a, codes_b, pq):.3f}  (random codes)")
+print(f"score(a, a) = {table_score(codes_a, codes_a):.3f}  (identical codes)")
+print(f"score(a, b) = {table_score(codes_a, codes_b):.3f}  (random codes)")
 
 print()
 print("=== 3. index a tiny corpus ===")
@@ -66,7 +75,7 @@ theta, scale, tx, ty = 0.35, 1.25, 60.0, -35.0
 query_rows = records_to_rows(transform_records(frames[4], 999, 0, theta, scale, tx, ty,
                                               noise=0.02, rng=rng))
 query = encode_query_local(query_rows, bow, pq)
-candidates = collect_matches(query, index, pq, tau_pq=0.72)
+candidates = collect_matches(query, index, pq, tau_pq=0.72, table=table)
 print(f"{len(candidates)} candidate matches above the similarity threshold")
 
 frame_scores = hough_verify(candidates, query_diagonal=geom.diagonal)

@@ -8,8 +8,9 @@ a few Hamming clusters instead of the whole corpus.
 import numpy as np
 
 from frameseek import (binarize, binary_centers_train, build_global_index,
-                       fisher_vector, global_rank, gmm_train, hamming_score,
-                       make_signature, pca_fit, pca_project, probe_candidates)
+                       fisher_vector, global_rank, gmm_train, make_signature,
+                       pca_fit, pca_project, probe_candidates)
+from frameseek.bits import hamming_to_many
 from frameseek.global_query import GlobalQueryConfig
 
 rng = np.random.default_rng(21)
@@ -45,11 +46,13 @@ print(f"scaling the vector by 10 flips {int((binarize(10 * fv) != bits).sum())} 
 
 print()
 print("=== 4. cluster the signatures and build the index ===")
-signatures = [make_signature(fid, vid, fisher_vector(pca_project(pca, f), gmm))
-              for fid, vid, f in frames]
-centers = binary_centers_train(np.stack([s.bits for s in signatures]),
-                               signatures[0].n_bits, k=8, iters=15, seed=22)
-index = build_global_index(signatures, centers, n_gmm_components=gmm.n_components)
+# one packed signature per frame, as rows of one code matrix
+codes = np.stack([make_signature(fid, vid, fisher_vector(pca_project(pca, f), gmm)).bits
+                  for fid, vid, f in frames])
+n_bits = pca.d_out * gmm.n_components
+centers = binary_centers_train(codes, n_bits, k=8, iters=15, seed=22)
+index = build_global_index([fid for fid, _, _ in frames], [vid for _, vid, _ in frames],
+                           codes, centers, n_gmm_components=gmm.n_components)
 print(f"cluster sizes: {index.cluster_sizes().tolist()}")
 
 print()
@@ -66,6 +69,6 @@ for video, score in ranked.entries:
 
 print()
 print("=== 6. the score is just normalized Hamming similarity ===")
-best = signatures[26]
-print(f"hamming_score(query, its source frame) = "
-      f"{hamming_score(query_sig.bits, best.bits, best.n_bits):.4f}")
+distance = hamming_to_many(query_sig.bits, codes[26:27])[0]
+print(f"1 - hamming(query, its source frame) / B = 1 - {distance} / {n_bits} = "
+      f"{1 - distance / n_bits:.4f}")

@@ -8,10 +8,10 @@ ranked lists merge with an adaptive settling-point late fusion.
 """
 
 from .codebooks import (BinaryCenters, CodebookSet, GMMModel, KMeansModel,
-                        PCAModel, PQModel, binary_assign, binary_centers_train,
-                        gmm_posteriors, gmm_train, kmeans_assign,
+                        PCAModel, PQModel, binary_assign_batch,
+                        binary_centers_train, gmm_posteriors, gmm_train,
                         kmeans_assign_batch, kmeans_train, pca_fit,
-                        pca_project, pq_encode, pq_encode_batch, pq_train)
+                        pca_project, pq_encode_batch, pq_train)
 from .config import EngineConfig
 from .evaluation import average_precision, map_at_1, mean_ap
 from .fusion import (FusionConfig, RankedList, fuse, normalize_list,
@@ -19,14 +19,12 @@ from .fusion import (FusionConfig, RankedList, fuse, normalize_list,
 from .geometry import FrameGeometry, wrap_angle
 from .global_index import (GlobalIndex, GlobalSignature, binarize,
                            build_global_index, fisher_vector, make_signature)
-from .global_query import (GlobalQueryConfig, global_rank, hamming_score,
-                           probe_candidates)
+from .global_query import GlobalQueryConfig, global_rank, probe_candidates
 from .local_index import (LocalIndex, Postings, build_local_index,
                           encode_frame_local)
 from .local_query import (HoughConfig, Matches, PQScoreTable,
                           QueryPosting, collect_matches, encode_query_local,
-                          hough_verify, local_rank, pq_score,
-                          pq_score_asymmetric, query_score_mass)
+                          hough_verify, local_rank, query_score_mass)
 from .synth import (LocalRecord, SynthSpec, generate, records_to_rows,
                     transform_records, write_corpus)
 

@@ -29,14 +29,6 @@ def popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr) if hasattr(np, "bitwise_count") else _POPCOUNT[arr]
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Hamming distance between two packed codes of equal byte length."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError(f"bit-length mismatch: {a.shape} vs {b.shape}")
-    return int(popcount(np.bitwise_xor(a, b)).sum())
-
 def hamming_to_many(query: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Hamming distances from one packed code to each row of a packed matrix."""
     query = np.asarray(query, dtype=np.uint8)

@@ -15,7 +15,7 @@ from .evaluation import map_at_1, mean_ap
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None, help="accepted and ignored")
 
 
 def _engine_config(args: argparse.Namespace, **flag_overrides) -> EngineConfig:

@@ -256,17 +256,6 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
     return model
 
 
-def kmeans_assign(model: KMeansModel, v: np.ndarray) -> tuple[int, np.ndarray]:
-    """Nearest-center index (lowest index on ties) and residual v - c_i."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (model.d,):
-        raise ValueError(f"dimension mismatch: vector has shape {v.shape}, model expects ({model.d},)")
-    centers = model.centers.astype(np.float64)
-    diff = v[None, :] - centers
-    word = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-    return word, v - centers[word]
-
-
 def kmeans_assign_batch(model: KMeansModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized assignment: word ids and residuals for each row."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
@@ -302,11 +291,6 @@ def pq_train(residuals: np.ndarray, m: int = 8, n_centers: int = 256,
         assert np.all(pair <= max_dist[j]), "max_dist must bound every center pair"
         sub_models.append(sub)
     return PQModel(sub_models=sub_models, max_dist=max_dist)
-
-
-def pq_encode(model: PQModel, r: np.ndarray) -> np.ndarray:
-    """Encode one residual as m one-byte sub-codes (argmin per subspace)."""
-    return pq_encode_batch(model, np.asarray(r)[None, :])[0]
 
 
 def pq_encode_batch(model: PQModel, residuals: np.ndarray) -> np.ndarray:
@@ -517,11 +501,6 @@ def _dedupe_centers(packed_centers: np.ndarray, packed_codes: np.ndarray,
         packed_centers[slot] = packed_codes[order[cursor]]
         used.add(packed_centers[slot].tobytes())
     return packed_centers
-
-
-def binary_assign(centers: BinaryCenters, code: np.ndarray) -> int:
-    """Index of the Hamming-nearest center (lowest index on ties)."""
-    return int(np.argmin(hamming_to_many(code, centers.centers)))
 
 
 def binary_assign_batch(centers: BinaryCenters, codes: np.ndarray) -> np.ndarray:

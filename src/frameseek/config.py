@@ -23,7 +23,7 @@ class EngineConfig:
     warmup: int = 10
     top_n: int = 100
     seed: int = 0
-    threads: int = 1
+    threads: int = 1            # accepted and ignored: the engine runs on one thread
     frame_width: float = 1280.0
     frame_height: float = 720.0
     train_iters: int = 20

@@ -49,16 +49,12 @@ def binarize(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GlobalSignature:
-    """One frame's binary Fisher code and its Hamming cluster."""
+    """One frame's binary Fisher code."""
 
     frame_id: int
     video_id: int
     bits: np.ndarray  # packed uint8, ceil(n_bits / 8) bytes
     n_bits: int
-    cluster: int = -1
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
 
 
 @dataclass
@@ -89,39 +85,31 @@ def make_signature(frame_id: int, video_id: int, fisher: np.ndarray) -> GlobalSi
                            bits=pack_bits(bits), n_bits=bits.shape[0])
 
 
-def build_global_index(signatures: list[GlobalSignature], centers: BinaryCenters,
-                       n_gmm_components: int = 0) -> GlobalIndex:
-    """Assign each signature to its Hamming-nearest center (ties to the
-    lowest index) and freeze per-cluster lists sorted by frame id.
+def build_global_index(frame_ids: np.ndarray, video_ids: np.ndarray, codes: np.ndarray,
+                       centers: BinaryCenters, n_gmm_components: int = 0) -> GlobalIndex:
+    """Assign each packed code (one row per frame) to its Hamming-nearest
+    center (ties to the lowest index) and freeze per-cluster columns sorted
+    by frame id, frames with equal ids in input order.
 
     Raises:
-        ValueError: signatures disagree on bit length, or do not match the
-            cluster centers' bit length.
+        ValueError: no codes, columns of unequal length, or codes whose
+            width does not match the cluster centers' bit length.
     """
-    if not signatures:
+    codes = np.asarray(codes, dtype=np.uint8)
+    n = codes.shape[0]
+    if n == 0:
         raise ValueError("no signatures to index")
-    n_bits = signatures[0].n_bits
-    for sig in signatures:
-        if sig.n_bits != n_bits:
-            raise ValueError(f"bit-length mismatch: {sig.n_bits} vs {n_bits}")
-    if n_bits != centers.n_bits:
-        raise ValueError(f"bit-length mismatch: signatures have {n_bits}, centers have {centers.n_bits}")
-
-    codes = np.stack([sig.bits for sig in signatures])
+    if len(frame_ids) != n or len(video_ids) != n:
+        raise ValueError(f"{n} codes but {len(frame_ids)} frame ids and {len(video_ids)} video ids")
+    if codes.ndim != 2 or codes.shape[1] != packed_length(centers.n_bits):
+        raise ValueError(f"bit-length mismatch: codes have {codes.shape[1:]} bytes, "
+                         f"centers have {centers.n_bits} bits")
+    frame = np.asarray(frame_ids, dtype=np.uint32)
     assign = binary_assign_batch(centers, codes)
-    for sig, cluster in zip(signatures, assign):
-        sig.cluster = int(cluster)
-
-    clusters = []
-    width = packed_length(n_bits)
-    for j in range(centers.k):
-        members = np.flatnonzero(assign == j)
-        members = members[np.argsort([signatures[i].frame_id for i in members], kind="stable")]
-        clusters.append({
-            "frame": np.array([signatures[i].frame_id for i in members], dtype=np.uint32),
-            "video": np.array([signatures[i].video_id for i in members], dtype=np.uint32),
-            "codes": (np.stack([signatures[i].bits for i in members])
-                      if members.size else np.empty((0, width), dtype=np.uint8)),
-        })
-    return GlobalIndex(n_bits=n_bits, n_gmm_components=n_gmm_components,
+    order = np.lexsort((frame, assign))
+    frame, video = frame[order], np.asarray(video_ids, dtype=np.uint32)[order]
+    codes, bounds = codes[order], np.searchsorted(assign[order], np.arange(centers.k + 1))
+    clusters = [{"frame": frame[lo:hi], "video": video[lo:hi], "codes": codes[lo:hi]}
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return GlobalIndex(n_bits=centers.n_bits, n_gmm_components=n_gmm_components,
                        centers=centers, clusters=clusters)

@@ -4,15 +4,15 @@ A query signature probes its k nearest binary cluster centers; every
 signature stored under a probed cluster is a candidate, scored by the
 similarity complement of the normalized Hamming distance (higher is better,
 consistent with the local channel). Signatures outside the probed clusters
-score 0 and never enter the ranked list.
+never enter the ranked list; every probed video does, even at score 0.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import hamming_distance, hamming_to_many
-from .fusion import GLOBAL, RankedList, rank_videos
+from .bits import hamming_to_many
+from .fusion import GLOBAL, RankedList
 from .global_index import GlobalIndex
 
 
@@ -25,11 +25,6 @@ class GlobalQueryConfig:
     def __post_init__(self):
         if self.k_probe < 1:
             raise ValueError("k_probe must be at least 1")
-
-
-def hamming_score(b_r: np.ndarray, b_q: np.ndarray, n_bits: int) -> float:
-    """1 - popcount(b_r XOR b_q) / n_bits, on packed codes of equal length."""
-    return 1.0 - hamming_distance(b_r, b_q) / n_bits
 
 
 def probe_order(query_bits: np.ndarray, index: GlobalIndex) -> np.ndarray:
@@ -79,10 +74,10 @@ def global_rank(query_bits: np.ndarray, index: GlobalIndex,
                          f"index has {cands['codes'].shape[1]}")
     dists = hamming_to_many(query_bits, cands["codes"])
     scores = 1.0 - dists.astype(np.float64) / index.n_bits
-    videos: dict[int, float] = {}
-    for video, score in zip(cands["video"], scores):
-        v = int(video)
-        s = float(score)
-        if s > videos.get(v, -1.0):
-            videos[v] = s
-    return rank_videos(videos, GLOBAL, cfg.top_n)
+    # in (-score, video) order a video's first row holds its best score, and
+    # the first rows come in ranked order: descending score, ties by video
+    order = np.lexsort((cands["video"], -scores))
+    _, first = np.unique(cands["video"][order], return_index=True)
+    best = order[np.sort(first)[:cfg.top_n]]
+    return RankedList(entries=list(zip(cands["video"][best].tolist(), scores[best].tolist())),
+                      channel=GLOBAL)

@@ -91,39 +91,6 @@ class PQScoreTable:
             dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
             self.tables.append(np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0))
 
-    def score(self, codes_r: np.ndarray, codes_q: np.ndarray) -> float:
-        total = 0.0
-        for j in range(self.m):
-            total += self.tables[j][int(codes_r[j]), int(codes_q[j])]
-        return total / self.m
-
-
-def pq_score(codes_r: np.ndarray, codes_q: np.ndarray, pq: PQModel | PQScoreTable) -> float:
-    """Normalized residual similarity of two PQ codes, in [0, 1].
-
-    1.0 means identical codes; 0.0 means every subspace hits its maximally
-    separated center pair. Symmetric in its arguments.
-    """
-    codes_r = np.asarray(codes_r)
-    codes_q = np.asarray(codes_q)
-    if codes_r.shape != codes_q.shape:
-        raise ValueError("code length mismatch")
-    table = pq if isinstance(pq, PQScoreTable) else PQScoreTable(pq)
-    return table.score(codes_r, codes_q)
-
-
-def pq_score_asymmetric(residual_q: np.ndarray, codes_r: np.ndarray, pq: PQModel) -> float:
-    """Score a raw query residual against reference codes; clamped to [0, 1]
-    since a raw residual can sit farther from a center than any center pair."""
-    residual_q = np.asarray(residual_q, dtype=np.float64)
-    sub_dim = pq.sub_dim
-    total = 0.0
-    for j, sub in enumerate(pq.sub_models):
-        c = sub.centers[int(codes_r[j])].astype(np.float64)
-        dist = math.sqrt(float(np.sum((residual_q[j * sub_dim:(j + 1) * sub_dim] - c) ** 2)))
-        total += min(max(1.0 - dist / pq.max_dist[j], 0.0), 1.0)
-    return total / pq.m
-
 
 def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel,
                        keep_residuals: bool = False) -> list[QueryPosting]:
@@ -158,10 +125,9 @@ def _asymmetric_tables(residuals: np.ndarray, pq: PQModel) -> np.ndarray:
     return luts
 
 
-def collect_matches(query: list[QueryPosting], index: LocalIndex,
-                    pq: PQModel | PQScoreTable, tau_pq: float = 0.72,
-                    asymmetric: bool = False,
-                    pq_model: PQModel | None = None) -> Matches:
+def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
+                    tau_pq: float = 0.72, asymmetric: bool = False,
+                    table: PQScoreTable | None = None) -> Matches:
     """Scan the inverted lists of the query's words and keep matches whose PQ
     similarity exceeds tau_pq, weighted by the word's idf.
 
@@ -170,13 +136,11 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex,
     gathers, one per subquantizer (IVFADC-style). Stopped words have no
     postings and are skipped by construction. Asymmetric mode scores the raw
     query residual against reference centers (requires postings encoded with
-    keep_residuals=True).
+    keep_residuals=True). `table` is `PQScoreTable(pq)`, passed in to build
+    it once per query batch.
     """
     if not 0.0 <= tau_pq < 1.0:
         raise ValueError("tau_pq must be in [0, 1)")
-    table = pq if isinstance(pq, PQScoreTable) else PQScoreTable(pq)
-    if asymmetric and pq_model is None and isinstance(pq, PQModel):
-        pq_model = pq
     live = [p for p in query if p.word in index.postings and index.idf[p.word] > 0.0]
     if not live:
         return Matches(*(np.empty(0) for _ in fields(Matches)))
@@ -184,14 +148,15 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex,
     row = np.repeat(np.arange(len(live)), [r["frame"].shape[0] for r in ranges])
     ref_codes = np.concatenate([r["codes"] for r in ranges])
     if asymmetric:
-        if pq_model is None or any(p.residual is None for p in live):
-            raise ValueError("asymmetric scoring needs query residuals and the PQ model")
-        luts = _asymmetric_tables(np.stack([p.residual for p in live]), pq_model)
+        if any(p.residual is None for p in live):
+            raise ValueError("asymmetric scoring needs query residuals")
+        luts = _asymmetric_tables(np.stack([p.residual for p in live]), pq)
     else:
         # per-keypoint rows of the code-to-code tables: (n_query, m, n_centers)
         # stays in cache where the full (m, n_centers, n_centers) tables do not
         q_codes = np.stack([p.codes for p in live])
-        luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(table.tables)], axis=1)
+        tables = (table or PQScoreTable(pq)).tables
+        luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(tables)], axis=1)
     scores = np.zeros(row.shape[0], dtype=np.float64)
     for j in range(luts.shape[1]):
         scores += luts[row, j, ref_codes[:, j]]
@@ -302,9 +267,7 @@ def local_rank(rows: np.ndarray, index: LocalIndex, bow: KMeansModel,
     mass = query_score_mass(query, index)
     if mass <= 0.0:
         return RankedList(entries=[], channel=LOCAL)
-    table = table or PQScoreTable(pq)
-    matches = collect_matches(query, index, table, tau_pq,
-                              asymmetric=asymmetric, pq_model=pq)
+    matches = collect_matches(query, index, pq, tau_pq, asymmetric=asymmetric, table=table)
     diag = (query_geometry or index.geometry).diagonal
     frame_scores = hough_verify(matches, hough, query_diagonal=diag)
     videos: dict[int, float] = {}

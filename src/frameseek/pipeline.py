@@ -2,19 +2,17 @@
 
 These functions sit between the file formats and the per-module operations
 so the CLI stays a thin argument parser and library users can drive the
-whole engine from Python. Global signatures and per-query evaluation can
-fan out over a thread pool; results are gathered in input order, so the
-output never depends on the thread count. Local encoding runs in row blocks
-on the calling thread.
+whole engine from Python. Everything runs on the calling thread: local
+encoding in row blocks, global signatures and queries one frame at a time.
+The `threads` setting is accepted and ignored.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .codebooks import (CodebookSet, binary_centers_train, gmm_train,
-                        kmeans_assign_batch, kmeans_train, pca_fit,
+from .codebooks import (CodebookSet, GMMModel, PCAModel, binary_centers_train,
+                        gmm_train, kmeans_assign_batch, kmeans_train, pca_fit,
                         pca_project, pq_train)
 from .config import EngineConfig
 from .fusion import FusionConfig, RankedList, fuse
@@ -25,13 +23,6 @@ from .global_query import GlobalQueryConfig, global_rank
 from .local_index import LocalIndex, build_local_index, encode_frame_local
 from .local_query import HoughConfig, PQScoreTable, local_rank
 from .storage import read_global_features, read_local_descriptors
-
-
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sample_index(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -59,6 +50,14 @@ def _sample_rows(frames, cap: int, rng: np.random.Generator) -> np.ndarray:
     laid end to end; only the drawn rows are gathered and converted."""
     n_rows = sum(rows.shape[0] for _, _, rows in frames)
     return _take_rows(frames, _sample_index(n_rows, cap, rng)).astype(np.float64)
+
+
+def _signature_codes(frames, pca: PCAModel, gmm: GMMModel) -> np.ndarray:
+    """Packed binary Fisher signature of each frame's features, one row per
+    frame, in input order."""
+    codes = [make_signature(fid, vid, fisher_vector(pca_project(pca, feats), gmm)).bits
+             for fid, vid, feats in frames]
+    return np.stack(codes) if codes else np.empty((0, 0), dtype=np.uint8)
 
 
 def _read_frames(paths, read) -> list:
@@ -133,11 +132,8 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
     projected = pca_project(pca, _sample_rows(frames, config.max_train_samples, rng))
     gmm = gmm_train(projected, config.d_fk, iters=config.gmm_iters, seed=config.seed + 2)
 
-    signatures = [make_signature(fid, vid, fisher_vector(pca_project(pca, feats), gmm))
-                  for fid, vid, feats in frames]
-    codes = np.stack([s.bits for s in signatures])
-    centers = binary_centers_train(codes, signatures[0].n_bits,
-                                   k=config.binary_clusters,
+    centers = binary_centers_train(_signature_codes(frames, pca, gmm),
+                                   gmm.n_components * gmm.d, k=config.binary_clusters,
                                    iters=config.train_iters, seed=config.seed + 3)
     return CodebookSet(bow=bow, pq=pq, pca=pca, gmm=gmm, binary_centers=centers)
 
@@ -160,14 +156,11 @@ def build_global_index_from_files(files: list[Path], books: CodebookSet,
     frames = _read_frames(files, read_global_features)
     if not frames:
         raise ValueError("no input files: nothing to index")
-
-    def signature(frame):
-        fid, vid, feats = frame
-        return make_signature(fid, vid, fisher_vector(pca_project(books.pca, feats), books.gmm))
-
-    signatures = _map_maybe_parallel(signature, frames, config.threads)
-    return build_global_index(signatures, books.binary_centers,
-                              n_gmm_components=books.gmm.n_components)
+    return build_global_index(
+        np.array([fid for fid, _, _ in frames], dtype=np.uint32),
+        np.array([vid for _, vid, _ in frames], dtype=np.uint32),
+        _signature_codes(frames, books.pca, books.gmm), books.binary_centers,
+        n_gmm_components=books.gmm.n_components)
 
 
 def check_compatible_local(books: CodebookSet, index: LocalIndex) -> None:
@@ -197,15 +190,10 @@ def query_local_file(path: str | Path, index: LocalIndex, books: CodebookSet,
     table = PQScoreTable(books.pq)
     geometry = FrameGeometry(config.frame_width, config.frame_height)
     hough = HoughConfig()
-
-    def run(frame):
-        _, _, rows = frame
-        return local_rank(rows, index, books.bow, books.pq,
-                          tau_pq=config.tau_pq, top_n=config.top_n, hough=hough,
-                          query_geometry=geometry, table=table, asymmetric=asymmetric)
-
-    ranked = _map_maybe_parallel(run, frames, config.threads)
-    return {fid: r for (fid, _, _), r in zip(frames, ranked)}
+    return {fid: local_rank(rows, index, books.bow, books.pq, tau_pq=config.tau_pq,
+                            top_n=config.top_n, hough=hough, query_geometry=geometry,
+                            table=table, asymmetric=asymmetric)
+            for fid, _, rows in frames}
 
 
 def query_global_file(path: str | Path, index: GlobalIndex, books: CodebookSet,
@@ -215,14 +203,8 @@ def query_global_file(path: str | Path, index: GlobalIndex, books: CodebookSet,
     frames = _read_frames([path], read_global_features)
     cfg = GlobalQueryConfig(k_probe=config.k_probe, top_n=config.top_n,
                             brute_force=brute_force)
-
-    def run(frame):
-        fid, vid, feats = frame
-        sig = make_signature(fid, vid, fisher_vector(pca_project(books.pca, feats), books.gmm))
-        return global_rank(sig.bits, index, cfg)
-
-    ranked = _map_maybe_parallel(run, frames, config.threads)
-    return {fid: r for (fid, _, _), r in zip(frames, ranked)}
+    codes = _signature_codes(frames, books.pca, books.gmm)
+    return {fid: global_rank(bits, index, cfg) for (fid, _, _), bits in zip(frames, codes)}
 
 
 def fuse_runs(local_runs: dict[int, list[tuple[int, float]]],

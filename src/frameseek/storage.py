@@ -92,6 +92,11 @@ class _Reader:
     def done(self) -> bool:
         return self.pos >= len(self.buf)
 
+    def expect_end(self) -> None:
+        if not self.done():
+            raise FileFormatError(f"{self.path}: {len(self.buf) - self.pos} bytes "
+                                  "after the last block")
+
 
 def _open_checked(path: str | Path, magic: bytes) -> _Reader:
     path = Path(path)
@@ -186,6 +191,7 @@ def read_codebooks(path: str | Path) -> CodebookSet:
     missing = {_KIND_KMEANS, _KIND_PQ, _KIND_PCA, _KIND_GMM, _KIND_BINARY} - set(parts)
     if missing:
         raise FileFormatError(f"{r.path}: missing model blocks {sorted(missing)}")
+    r.expect_end()
     return CodebookSet(bow=parts[_KIND_KMEANS], pq=parts[_KIND_PQ], pca=parts[_KIND_PCA],
                        gmm=parts[_KIND_GMM], binary_centers=parts[_KIND_BINARY],
                        format_version=FORMAT_VERSION)
@@ -361,6 +367,7 @@ def read_local_index(path: str | Path) -> LocalIndex:
             "qscale": r.u8_array(count),
             "frame": r.u32_array(count),
         }
+    r.expect_end()
     return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq,
                       prune_fraction=float(prune_fraction),
                       geometry=FrameGeometry(width=float(width), height=float(height)),
@@ -400,6 +407,7 @@ def read_global_index(path: str | Path) -> GlobalIndex:
             "video": r.u32_array(count),
             "codes": r.u8_array(count * width).reshape(count, width),
         })
+    r.expect_end()
     return GlobalIndex(n_bits=n_bits, n_gmm_components=n_gmm, centers=centers,
                        clusters=clusters)
 

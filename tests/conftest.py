@@ -4,8 +4,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-from frameseek import (FrameGeometry, HoughConfig, LocalIndex, Matches,
-                       Postings, kmeans_train, pq_train, wrap_angle)
+from frameseek import (FrameGeometry, GlobalIndex, HoughConfig, LocalIndex,
+                       Matches, PQScoreTable, Postings, kmeans_train,
+                       pq_train, probe_candidates, wrap_angle)
+from frameseek.bits import packed_length
+from frameseek.fusion import GLOBAL, RankedList, rank_videos
 
 
 @pytest.fixture(scope="session")
@@ -196,3 +199,111 @@ def plusplus_seeds_oracle(samples, k, rng):
         diff = samples - seeds[j]
         np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
     return seeds
+
+
+# --- scalar twins of the batch operations, kept as oracles --------------------
+
+def kmeans_assign(model, v):
+    """Nearest-center index of one vector (lowest index on ties) and its
+    residual v - c_i."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (model.d,):
+        raise ValueError(f"dimension mismatch: vector has shape {v.shape}, model expects ({model.d},)")
+    centers = model.centers.astype(np.float64)
+    diff = v[None, :] - centers
+    word = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    return word, v - centers[word]
+
+
+def pq_encode(model, r):
+    """One residual's m one-byte sub-codes: the nearest sub-center of each
+    slice, by direct differences."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape != (model.d,):
+        raise ValueError(f"dimension mismatch: residual has shape {r.shape}, model expects ({model.d},)")
+    codes = np.empty(model.m, dtype=np.uint8)
+    for j, sub in enumerate(model.sub_models):
+        diff = r[j * model.sub_dim:(j + 1) * model.sub_dim] - sub.centers.astype(np.float64)
+        codes[j] = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    return codes
+
+
+def pq_score(codes_r, codes_q, pq):
+    """Normalized residual similarity of two PQ codes, in [0, 1]: the mean
+    over subspaces of the code-to-code table entries, added one at a time."""
+    codes_r, codes_q = np.asarray(codes_r), np.asarray(codes_q)
+    if codes_r.shape != codes_q.shape:
+        raise ValueError("code length mismatch")
+    table = pq if isinstance(pq, PQScoreTable) else PQScoreTable(pq)
+    total = 0.0
+    for j in range(table.m):
+        total += table.tables[j][int(codes_r[j]), int(codes_q[j])]
+    return total / table.m
+
+
+def pq_score_asymmetric(residual_q, codes_r, pq):
+    """Raw query residual against reference codes, each subspace's term
+    clamped to [0, 1] since a raw residual can sit farther from a center than
+    any center pair."""
+    residual_q = np.asarray(residual_q, dtype=np.float64)
+    sub_dim = pq.sub_dim
+    total = 0.0
+    for j, sub in enumerate(pq.sub_models):
+        c = sub.centers[int(codes_r[j])].astype(np.float64)
+        dist = math.sqrt(float(np.sum((residual_q[j * sub_dim:(j + 1) * sub_dim] - c) ** 2)))
+        total += min(max(1.0 - dist / pq.max_dist[j], 0.0), 1.0)
+    return total / pq.m
+
+
+def hamming_distance(a, b):
+    """Differing bits of two packed codes of equal byte length."""
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    if a.shape != b.shape:
+        raise ValueError(f"bit-length mismatch: {a.shape} vs {b.shape}")
+    return int(np.unpackbits(np.bitwise_xor(a, b)).sum())
+
+
+def hamming_score(b_r, b_q, n_bits):
+    """1 - popcount(b_r XOR b_q) / n_bits."""
+    return 1.0 - hamming_distance(b_r, b_q) / n_bits
+
+
+def binary_assign(centers, code):
+    """Hamming-nearest center of one packed code (lowest index on ties)."""
+    return min(range(centers.k), key=lambda j: (hamming_distance(code, centers.centers[j]), j))
+
+
+# --- per-signature global build and dict-loop ranking, kept as oracles --------
+
+def build_global_index_oracle(signatures, centers, n_gmm_components=0):
+    """One signature at a time: each joins its scalar-assigned cluster, and
+    each cluster's members are sorted by frame id with Python's stable sort."""
+    members = [[] for _ in range(centers.k)]
+    for sig in signatures:
+        members[binary_assign(centers, sig.bits)].append(sig)
+    width = packed_length(centers.n_bits)
+    clusters = []
+    for sigs in members:
+        sigs = sorted(sigs, key=lambda s: s.frame_id)
+        clusters.append({
+            "frame": np.array([s.frame_id for s in sigs], dtype=np.uint32),
+            "video": np.array([s.video_id for s in sigs], dtype=np.uint32),
+            "codes": np.array([s.bits for s in sigs], dtype=np.uint8).reshape(-1, width),
+        })
+    return GlobalIndex(n_bits=centers.n_bits, n_gmm_components=n_gmm_components,
+                       centers=centers, clusters=clusters)
+
+
+def global_rank_oracle(query_bits, index, cfg):
+    """Score each probed candidate with the scalar Hamming similarity, keep
+    every video's best score in a dict, and rank by (-score, video)."""
+    if index.n_signatures == 0:
+        return RankedList(entries=[], channel=GLOBAL)
+    k = index.centers.k if cfg.brute_force else cfg.k_probe
+    cands = probe_candidates(query_bits, index, k)
+    videos = {}
+    for video, code in zip(cands["video"].tolist(), cands["codes"]):
+        score = hamming_score(code, query_bits, index.n_bits)
+        if score > videos.get(video, -1.0):
+            videos[video] = score
+    return rank_videos(videos, GLOBAL, cfg.top_n)

@@ -10,15 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MatchCandidate, match_rows, matches_from_rows
+from conftest import MatchCandidate, match_rows, matches_from_rows, pq_score
 from frameseek import (GlobalQueryConfig, PQScoreTable, RankedList,
                        binary_centers_train, build_global_index,
                        collect_matches, encode_query_local, global_rank,
-                       hough_verify, mean_ap, normalize_list, pq_score,
-                       pq_train, probe_candidates, settling_point)
+                       hough_verify, mean_ap, normalize_list, pq_train,
+                       probe_candidates, settling_point)
 from frameseek.bits import hamming_to_many, pack_bits
 from frameseek.cli import main
-from frameseek.global_index import GlobalSignature
 from frameseek.pipeline import (build_local_index_from_files,
                                 build_global_index_from_files, fuse_runs,
                                 query_global_file, query_local_file,
@@ -48,7 +47,7 @@ def test_criterion_1_pq_score_oracle():
     table = PQScoreTable(model)
     fast = np.empty(10_000)
     for i in range(10_000):
-        fast[i] = table.score(codes_r[i], codes_q[i])
+        fast[i] = pq_score(codes_r[i], codes_q[i], table)
     elapsed = time.perf_counter() - start
 
     direct = np.zeros(10_000)
@@ -89,7 +88,7 @@ def test_criterion_2_inverted_file_filter_equivalence():
     for qid, _, records in corpus.query_local:
         query = encode_query_local(records_to_rows(records), bow, pq)
         for tau in (0.5, 0.72, 0.9):
-            got = match_rows(collect_matches(query, index, table, tau_pq=tau))
+            got = match_rows(collect_matches(query, index, pq, tau_pq=tau, table=table))
             expected = set()
             for posting in query:
                 idf = float(index.idf[posting.word])
@@ -156,10 +155,8 @@ def test_criterion_4_approximate_hamming_search(tmp_path):
     flips = (gen.random((n_codes, n_bits)) < 0.06).astype(np.uint8)
     bits = protos[owner] ^ flips
     packed = pack_bits(bits)
-    sigs = [GlobalSignature(frame_id=i, video_id=i, bits=packed[i], n_bits=n_bits)
-            for i in range(n_codes)]
     centers = binary_centers_train(packed, n_bits, k=32, iters=6, seed=204)
-    index = build_global_index(sigs, centers)
+    index = build_global_index(np.arange(n_codes), np.arange(n_codes), packed, centers)
 
     queries = []
     for _ in range(25):

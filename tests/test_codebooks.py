@@ -5,8 +5,9 @@ import pytest
 
 from conftest import gmm_log_posteriors_oracle, plusplus_seeds_oracle
 from frameseek import (BinaryCenters, GMMModel, KMeansModel,
-                       binary_centers_train, gmm_train, kmeans_assign,
-                       kmeans_train, pca_fit, pca_project, pq_encode, pq_train)
+                       binary_assign_batch, binary_centers_train, gmm_train,
+                       kmeans_assign_batch, kmeans_train, pca_fit, pca_project,
+                       pq_encode_batch, pq_train)
 from frameseek import codebooks
 from frameseek.bits import hamming_to_many, pack_bits, unpack_bits
 from frameseek.codebooks import (ASSIGN_BLOCK_ROWS, VARIANCE_FLOOR,
@@ -58,9 +59,9 @@ def test_kmeans_insufficient_samples():
 def test_kmeans_assign_exact_center():
     gen = np.random.default_rng(4)
     model = KMeansModel(centers=gen.normal(size=(8, 4)))
-    word, residual = kmeans_assign(model, model.centers[3])
-    assert word == 3
-    np.testing.assert_array_equal(residual, np.zeros(4))
+    words, residuals = kmeans_assign_batch(model, model.centers[3:4])
+    assert words.tolist() == [3]
+    np.testing.assert_array_equal(residuals, np.zeros((1, 4)))
 
 
 def test_kmeans_assign_tie_breaks_low_index():
@@ -70,16 +71,16 @@ def test_kmeans_assign_tie_breaks_low_index():
     centers[4] = (2.0, 0.0)
     centers[0] = (50.0, 50.0)
     model = KMeansModel(centers=centers)
-    word, _ = kmeans_assign(model, np.array([1.0, 0.0]))
-    assert word == 1
+    words, _ = kmeans_assign_batch(model, np.array([[1.0, 0.0]]))
+    assert words.tolist() == [1]
 
 
 def test_kmeans_assign_matches_bruteforce():
     gen = np.random.default_rng(5)
     model = KMeansModel(centers=gen.normal(size=(10, 7)))
-    for _ in range(50):
-        v = gen.normal(size=7)
-        word, residual = kmeans_assign(model, v)
+    vectors = gen.normal(size=(50, 7))
+    words, residuals = kmeans_assign_batch(model, vectors)
+    for v, word, residual in zip(vectors, words, residuals):
         dists = [np.sum((v - c) ** 2) for c in model.centers.astype(np.float64)]
         assert word == int(np.argmin(dists))
         np.testing.assert_allclose(residual, v - model.centers[word].astype(np.float64))
@@ -88,7 +89,7 @@ def test_kmeans_assign_matches_bruteforce():
 def test_kmeans_assign_dimension_mismatch():
     model = KMeansModel(centers=np.eye(3, dtype=np.float32))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        kmeans_assign(model, np.zeros(5))
+        kmeans_assign_batch(model, np.zeros((1, 5)))
 
 
 def test_kmeans_deterministic_given_seed():
@@ -132,14 +133,14 @@ def test_pq_m_must_divide_dimension():
 def test_pq_encode_exact_subcenters(small_pq):
     target = np.concatenate([sub.centers[5].astype(np.float64)
                              for sub in small_pq.sub_models])
-    np.testing.assert_array_equal(pq_encode(small_pq, target), [5, 5, 5, 5])
+    np.testing.assert_array_equal(pq_encode_batch(small_pq, target[None]), [[5, 5, 5, 5]])
 
 
 def test_pq_encode_zero_residual_with_zero_center():
     gen = np.random.default_rng(9)
     samples = np.vstack([np.zeros((30, 8)), gen.normal(5.0, 1.0, size=(170, 8))])
     model = pq_train(samples, m=2, n_centers=4, iters=10, seed=9)
-    codes = pq_encode(model, np.zeros(8))
+    codes = pq_encode_batch(model, np.zeros((1, 8)))[0]
     for j, sub in enumerate(model.sub_models):
         norms = np.einsum("ij,ij->i", sub.centers, sub.centers)
         assert codes[j] == int(np.argmin(norms))
@@ -147,9 +148,8 @@ def test_pq_encode_zero_residual_with_zero_center():
 
 def test_pq_encode_matches_bruteforce(small_pq):
     gen = np.random.default_rng(10)
-    for _ in range(50):
-        r = gen.normal(size=32)
-        codes = pq_encode(small_pq, r)
+    residuals = gen.normal(size=(50, 32))
+    for r, codes in zip(residuals, pq_encode_batch(small_pq, residuals)):
         for j, sub in enumerate(small_pq.sub_models):
             slice_ = r[j * 8:(j + 1) * 8]
             dists = [np.sum((slice_ - c) ** 2) for c in sub.centers.astype(np.float64)]
@@ -158,7 +158,7 @@ def test_pq_encode_matches_bruteforce(small_pq):
 
 def test_pq_encode_dimension_mismatch(small_pq):
     with pytest.raises(ValueError, match="dimension mismatch"):
-        pq_encode(small_pq, np.zeros(16))
+        pq_encode_batch(small_pq, np.zeros((1, 16)))
 
 
 def test_pq_max_dist_bounds_all_pairs(small_pq):
@@ -359,11 +359,10 @@ def test_binary_assign_is_exhaustive_argmin():
     gen = np.random.default_rng(25)
     centers = BinaryCenters(centers=pack_bits(gen.integers(0, 2, size=(8, 64)).astype(np.uint8)),
                             n_bits=64)
-    from frameseek import binary_assign
-    for _ in range(30):
-        code = pack_bits(gen.integers(0, 2, size=64).astype(np.uint8))
+    codes = pack_bits(gen.integers(0, 2, size=(30, 64)).astype(np.uint8))
+    for code, cluster in zip(codes, binary_assign_batch(centers, codes)):
         dists = hamming_to_many(code, centers.centers)
-        assert binary_assign(centers, code) == int(np.argmin(dists))
+        assert cluster == int(np.argmin(dists))
 
 
 def float64_seeds(bits):

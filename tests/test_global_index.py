@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from frameseek import (BinaryCenters, GMMModel, binarize, build_global_index,
-                       fisher_vector, gmm_train, make_signature)
-from frameseek.bits import hamming_to_many, pack_bits, unpack_bits
+from conftest import build_global_index_oracle
+from frameseek import (BinaryCenters, GMMModel, GlobalSignature, binarize,
+                       build_global_index, fisher_vector, gmm_train,
+                       make_signature)
+from frameseek.bits import hamming_to_many, pack_bits
+from frameseek.storage import write_global_index
 
 
 def naive_fisher(features, gmm):
@@ -114,18 +117,14 @@ def make_centers(gen, k=16, n_bits=64):
     return BinaryCenters(centers=pack_bits(bits), n_bits=n_bits)
 
 
-def sig(frame, video, bits):
-    from frameseek.global_index import GlobalSignature
-    return GlobalSignature(frame_id=frame, video_id=video,
-                           bits=pack_bits(np.asarray(bits, dtype=np.uint8)),
-                           n_bits=len(bits))
+def packed(bits):
+    return pack_bits(np.atleast_2d(np.asarray(bits, dtype=np.uint8)))
 
 
 def test_signature_equal_to_center_lands_there():
     gen = np.random.default_rng(95)
     centers = make_centers(gen)
-    bits = unpack_bits(centers.centers[12], 64)
-    index = build_global_index([sig(0, 0, bits)], centers)
+    index = build_global_index([0], [0], centers.centers[12:13], centers)
     assert index.clusters[12]["frame"].tolist() == [0]
 
 
@@ -133,36 +132,94 @@ def test_single_signature_single_center():
     gen = np.random.default_rng(96)
     bits = gen.integers(0, 2, size=32).astype(np.uint8)
     centers = BinaryCenters(centers=pack_bits(bits[None, :]), n_bits=32)
-    index = build_global_index([sig(5, 2, bits ^ 1)], centers)
+    index = build_global_index([5], [2], packed(bits ^ 1), centers)
     assert index.clusters[0]["frame"].tolist() == [5]
 
 
 def test_assignments_match_exhaustive_argmin():
     gen = np.random.default_rng(97)
     centers = make_centers(gen)
-    sigs = [sig(i, i % 4, gen.integers(0, 2, size=64)) for i in range(80)]
-    index = build_global_index(sigs, centers)
-    for s in sigs:
-        dists = hamming_to_many(s.bits, centers.centers)
-        assert s.cluster == int(np.argmin(dists))
-        assert s.frame_id in index.clusters[s.cluster]["frame"]
+    codes = packed(gen.integers(0, 2, size=(80, 64)))
+    index = build_global_index(np.arange(80), np.arange(80) % 4, codes, centers)
+    assert sorted(f for c in index.clusters for f in c["frame"].tolist()) == list(range(80))
+    for j, cluster in enumerate(index.clusters):
+        for frame, code in zip(cluster["frame"], cluster["codes"]):
+            np.testing.assert_array_equal(code, codes[frame])
+            assert j == int(np.argmin(hamming_to_many(code, centers.centers)))
 
 
 def test_bit_length_mismatch_rejected():
     gen = np.random.default_rng(98)
     centers = make_centers(gen, n_bits=64)
-    bad = [sig(0, 0, gen.integers(0, 2, size=64)), sig(1, 0, gen.integers(0, 2, size=32))]
     with pytest.raises(ValueError, match="bit-length mismatch"):
-        build_global_index(bad, centers)
+        build_global_index([0, 1], [0, 0], packed(gen.integers(0, 2, size=(2, 32))), centers)
+
+
+def test_columns_of_unequal_length_rejected():
+    gen = np.random.default_rng(98)
+    centers = make_centers(gen, n_bits=64)
+    with pytest.raises(ValueError, match="frame ids"):
+        build_global_index([0], [0, 0], packed(gen.integers(0, 2, size=(2, 64))), centers)
 
 
 def test_cluster_lists_sorted_by_frame():
     gen = np.random.default_rng(99)
     centers = make_centers(gen, k=2, n_bits=32)
-    sigs = [sig(f, 0, gen.integers(0, 2, size=32)) for f in (9, 3, 7, 1, 5)]
-    index = build_global_index(sigs, centers)
+    index = build_global_index([9, 3, 7, 1, 5], [0] * 5,
+                               packed(gen.integers(0, 2, size=(5, 32))), centers)
     for cluster in index.clusters:
         assert np.all(np.diff(cluster["frame"].astype(np.int64)) >= 0)
+
+
+def oracle_corpus(seed, n=120, n_bits=45, k=6):
+    """Signatures for comparisons against the conftest oracles.
+
+    Several frames per video; unsorted, non-contiguous frame ids with one
+    repeat; duplicated codes in different videos (tied scores); a code
+    equidistant from centers 1 and 2 (a tied assignment); video 99 holding
+    only the all-zero code; and no code near the last center (an empty
+    cluster). 45 bits leave three pad bits in the last byte.
+    """
+    gen = np.random.default_rng(seed)
+    center_bits = gen.integers(0, 2, size=(k, n_bits)).astype(np.uint8)
+    center_bits[2] = center_bits[1]
+    center_bits[2, :4] ^= 1
+    center_bits[-1] = 1
+    bits = center_bits[gen.integers(0, k - 1, size=n)]
+    bits ^= (gen.random((n, n_bits)) < 0.05).astype(np.uint8)
+    bits[1] = center_bits[1]
+    bits[1, :2] ^= 1
+    bits[2:6] = bits[6:10]
+    bits[-1] = 0
+    frames = gen.choice(10 * n, size=n, replace=False)
+    frames[3] = frames[4]
+    videos = gen.integers(0, 8, size=n)
+    videos[-1] = 99
+    centers = BinaryCenters(centers=pack_bits(center_bits), n_bits=n_bits)
+    signatures = [GlobalSignature(frame_id=int(f), video_id=int(v), bits=code, n_bits=n_bits)
+                  for f, v, code in zip(frames, videos, pack_bits(bits))]
+    return signatures, centers
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_build_equals_per_signature_oracle(seed, tmp_path):
+    signatures, centers = oracle_corpus(seed)
+    index = build_global_index([s.frame_id for s in signatures],
+                               [s.video_id for s in signatures],
+                               np.stack([s.bits for s in signatures]), centers,
+                               n_gmm_components=5)
+    want = build_global_index_oracle(signatures, centers, n_gmm_components=5)
+    tie = hamming_to_many(signatures[1].bits, centers.centers)
+    assert tie[1] == tie[2] == tie.min()
+    sizes = index.cluster_sizes()
+    assert sizes[-1] == 0 and sizes.sum() == len(signatures)
+    np.testing.assert_array_equal(sizes, want.cluster_sizes())
+    for got_cluster, want_cluster in zip(index.clusters, want.clusters):
+        for key in ("frame", "video", "codes"):
+            np.testing.assert_array_equal(got_cluster[key], want_cluster[key])
+    write_global_index(index, tmp_path / "got.gidx")
+    write_global_index(want, tmp_path / "want.gidx")
+    assert (tmp_path / "got.gidx").read_bytes() == (tmp_path / "want.gidx").read_bytes()
 
 
 def test_make_signature_bit_width(toy_gmm):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import global_rank_oracle, hamming_score
 from frameseek import (GlobalQueryConfig, binary_centers_train,
-                       build_global_index, global_rank, hamming_score,
-                       probe_candidates)
-from frameseek.bits import pack_bits
-from frameseek.global_index import GlobalSignature
+                       build_global_index, global_rank, probe_candidates)
+from frameseek.bits import hamming_to_many, pack_bits, unpack_bits
+from test_global_index import oracle_corpus
 
 
 def naive_hamming_score(a_bits, b_bits):
@@ -18,17 +18,16 @@ def make_clustered_corpus(n_codes=400, n_bits=256, n_true=8, flip=0.08, seed=0):
     protos = gen.integers(0, 2, size=(n_true, n_bits)).astype(np.uint8)
     owners = gen.integers(0, n_true, size=n_codes)
     bits = protos[owners] ^ (gen.random((n_codes, n_bits)) < flip).astype(np.uint8)
-    sigs = [GlobalSignature(frame_id=i, video_id=i, bits=pack_bits(bits[i]), n_bits=n_bits)
-            for i in range(n_codes)]
-    return sigs, bits, protos, gen
+    return bits, protos, gen
 
 
 @pytest.fixture(scope="module")
 def clustered_index():
-    sigs, bits, protos, gen = make_clustered_corpus()
-    centers = binary_centers_train(np.stack([s.bits for s in sigs]), 256, k=8,
-                                   iters=15, seed=1)
-    return build_global_index(sigs, centers), bits, protos
+    bits, protos, gen = make_clustered_corpus()
+    codes = pack_bits(bits)
+    centers = binary_centers_train(codes, 256, k=8, iters=15, seed=1)
+    ids = np.arange(len(codes))
+    return build_global_index(ids, ids, codes, centers), bits, protos
 
 
 def test_hamming_score_identical_is_one():
@@ -51,11 +50,15 @@ def test_hamming_score_matches_bit_loop_oracle():
         assert got == pytest.approx(naive_hamming_score(a, b), abs=1e-12)
         assert 0.0 <= got <= 1.0
         assert got == hamming_score(pack_bits(b), pack_bits(a), n_bits)
+        # the engine's batch distance agrees with the scalar one
+        assert got == 1.0 - hamming_to_many(pack_bits(a), pack_bits(b)[None])[0] / n_bits
 
 
 def test_hamming_score_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         hamming_score(np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8), 16)
+    with pytest.raises(ValueError, match="bit-length mismatch"):
+        hamming_to_many(np.zeros(2, dtype=np.uint8), np.zeros((1, 3), dtype=np.uint8))
 
 
 def test_full_probe_identical_to_brute_force(clustered_index):
@@ -131,9 +134,7 @@ def test_empty_index_returns_empty_list():
     centers = BinaryCenters(centers=pack_bits(gen.integers(0, 2, size=(4, 32)).astype(np.uint8)),
                             n_bits=32)
     index = build_global_index(
-        [GlobalSignature(frame_id=0, video_id=0,
-                         bits=pack_bits(gen.integers(0, 2, size=32).astype(np.uint8)),
-                         n_bits=32)], centers)
+        [0], [0], pack_bits(gen.integers(0, 2, size=(1, 32)).astype(np.uint8)), centers)
     index.clusters = [{"frame": np.empty(0, dtype=np.uint32),
                        "video": np.empty(0, dtype=np.uint32),
                        "codes": np.empty((0, 4), dtype=np.uint8)} for _ in range(4)]
@@ -145,3 +146,41 @@ def test_empty_index_returns_empty_list():
 def test_global_query_config_validation():
     with pytest.raises(ValueError, match="k_probe"):
         GlobalQueryConfig(k_probe=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rank_equals_dict_loop_oracle(seed):
+    signatures, centers = oracle_corpus(seed)
+    index = build_global_index([s.frame_id for s in signatures],
+                               [s.video_id for s in signatures],
+                               np.stack([s.bits for s in signatures]), centers)
+    gen = np.random.default_rng(seed)
+    n_bits = centers.n_bits
+    indexed = unpack_bits(np.stack([s.bits for s in signatures]), n_bits)
+    queries = [indexed[0], indexed[1], indexed[2], 1 - indexed[-1],
+               *(indexed[i] ^ (gen.random(n_bits) < 0.1) for i in gen.integers(0, 120, size=6))]
+    for query in queries:
+        query = pack_bits(np.asarray(query, dtype=np.uint8))
+        for cfg in (GlobalQueryConfig(k_probe=1, top_n=100),
+                    GlobalQueryConfig(k_probe=2, top_n=3),
+                    GlobalQueryConfig(k_probe=3, top_n=100),
+                    GlobalQueryConfig(brute_force=True, top_n=100),
+                    GlobalQueryConfig(brute_force=True, top_n=5)):
+            assert global_rank(query, index, cfg).entries == \
+                global_rank_oracle(query, index, cfg).entries
+
+
+def test_rank_keeps_zero_scores_and_breaks_ties_by_video():
+    signatures, centers = oracle_corpus(0)
+    index = build_global_index([s.frame_id for s in signatures],
+                               [s.video_id for s in signatures],
+                               np.stack([s.bits for s in signatures]), centers)
+    ones = pack_bits(np.ones(centers.n_bits, dtype=np.uint8))
+    entries = global_rank(ones, index, GlobalQueryConfig(brute_force=True, top_n=100)).entries
+    assert entries[-1] == (99, 0.0)
+    assert len({v for v, _ in entries}) == len(entries) == 9
+    # a duplicated code puts two videos on one score; the lower id ranks first
+    dup = signatures[2].bits
+    entries = global_rank(dup, index, GlobalQueryConfig(brute_force=True, top_n=100)).entries
+    tied = [v for v, score in entries if score == 1.0]
+    assert tied == sorted({signatures[i].video_id for i in (2, 6)})

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import LocalPosting, build_local_index_oracle, postings_from_rows
+from conftest import (LocalPosting, build_local_index_oracle, kmeans_assign,
+                      postings_from_rows, pq_encode)
 from frameseek import (LocalRecord, build_local_index, encode_frame_local,
-                       kmeans_assign, pq_encode, records_to_rows)
+                       records_to_rows)
 from frameseek.geometry import (FrameGeometry, dequantize_log_scale,
                                 dequantize_theta, quantize_log_scale,
                                 quantize_theta, wrap_angle)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (MatchCandidate, hough_verify_oracle, match_rows,
-                      matches_from_rows)
+                      matches_from_rows, pq_score, pq_score_asymmetric)
 from frameseek import (FrameGeometry, HoughConfig, LocalRecord,
                        PQScoreTable, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, hough_verify,
-                       local_rank, pq_score, pq_score_asymmetric,
-                       query_score_mass, records_to_rows, transform_records)
+                       local_rank, query_score_mass, records_to_rows,
+                       transform_records)
 from frameseek.local_query import _theta_bin
 
 
@@ -83,7 +83,7 @@ def test_pq_score_matches_direct_formula(small_pq):
     for _ in range(200):
         codes_r = gen.integers(0, 8, size=4).astype(np.uint8)
         codes_q = gen.integers(0, 8, size=4).astype(np.uint8)
-        assert table.score(codes_r, codes_q) == pytest.approx(
+        assert pq_score(codes_r, codes_q, table) == pytest.approx(
             direct_pq_score(codes_r, codes_q, small_pq), abs=1e-6)
 
 
@@ -93,9 +93,9 @@ def test_pq_score_symmetric_and_bounded(small_pq):
     for _ in range(100):
         a = gen.integers(0, 8, size=4).astype(np.uint8)
         b = gen.integers(0, 8, size=4).astype(np.uint8)
-        s = table.score(a, b)
+        s = pq_score(a, b, table)
         assert 0.0 <= s <= 1.0
-        assert s == table.score(b, a)
+        assert s == pq_score(b, a, table)
         if s == 1.0:
             assert np.array_equal(a, b)  # distinct sub-centers
 
@@ -145,7 +145,7 @@ def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
     query = encode_query_local(query_rows, small_bow, small_pq)
     table = PQScoreTable(small_pq)
     for tau in (0.5, 0.72, 0.9):
-        got = match_rows(collect_matches(query, index, table, tau_pq=tau))
+        got = match_rows(collect_matches(query, index, small_pq, tau_pq=tau, table=table))
         expected = set()
         for posting in query:
             for word, arrs in index.postings.items():

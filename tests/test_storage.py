@@ -12,7 +12,6 @@ from frameseek import (CodebookSet, FrameGeometry, LocalRecord,
                        build_local_index, encode_frame_local, gmm_train,
                        make_signature, pca_fit, pq_train, records_to_rows)
 from frameseek.bits import pack_bits
-from frameseek.global_index import GlobalSignature
 from frameseek import storage
 from frameseek.storage import (FileFormatError, read_codebooks,
                                read_global_features, read_global_index,
@@ -342,10 +341,9 @@ def test_global_index_roundtrip(tmp_path):
     gen = np.random.default_rng(114)
     centers = binary_centers_train(pack_bits(gen.integers(0, 2, size=(60, 48)).astype(np.uint8)),
                                    48, k=4, iters=10, seed=114)
-    sigs = [GlobalSignature(frame_id=i, video_id=i % 3,
-                            bits=pack_bits(gen.integers(0, 2, size=48).astype(np.uint8)),
-                            n_bits=48) for i in range(20)]
-    index = build_global_index(sigs, centers, n_gmm_components=6)
+    index = build_global_index(np.arange(20), np.arange(20) % 3,
+                               pack_bits(gen.integers(0, 2, size=(20, 48)).astype(np.uint8)),
+                               centers, n_gmm_components=6)
     p1, p2 = tmp_path / "a.gidx", tmp_path / "b.gidx"
     write_global_index(index, p1)
     loaded = read_global_index(p1)
@@ -354,6 +352,72 @@ def test_global_index_roundtrip(tmp_path):
     assert loaded.n_bits == 48 and loaded.n_gmm_components == 6
     for a, b in zip(loaded.clusters, index.clusters):
         np.testing.assert_array_equal(a["codes"], b["codes"])
+
+
+@pytest.fixture(scope="module")
+def index_files(books, small_bow, small_pq, tmp_path_factory):
+    """Small valid I2VC, LIDX and GIDX bytes, each with its reader."""
+    work = tmp_path_factory.mktemp("formats")
+    gen = np.random.default_rng(117)
+    frames = [(f, v, records_to_rows(records)[:, :36])
+              for f, v, records in random_frames(gen, n_frames=3, keypoints=4)]
+    local = build_local_index(encode_frame_local(frames, small_bow, small_pq),
+                              {f: v for f, v, _ in frames}, n_words=small_bow.k,
+                              m=small_pq.m, n_pq_centers=small_pq.n_centers,
+                              prune_fraction=0.1)
+    glob = build_global_index(np.arange(6), np.arange(6) % 2,
+                              pack_bits(gen.integers(0, 2, size=(6, 8)).astype(np.uint8)),
+                              books.binary_centers, n_gmm_components=2)
+    files = {}
+    for kind, write, read, value in (("i2vc", write_codebooks, read_codebooks, books),
+                                     ("lidx", write_local_index, read_local_index, local),
+                                     ("gidx", write_global_index, read_global_index, glob)):
+        write(value, work / kind)
+        files[kind] = ((work / kind).read_bytes(), read)
+    return files
+
+
+BINARY_FORMATS = ["i2vc", "lidx", "gidx"]
+
+
+@pytest.mark.parametrize("kind", BINARY_FORMATS)
+def test_binary_file_every_truncation_rejected(index_files, kind, tmp_path):
+    data, read = index_files[kind]
+    path = tmp_path / kind
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(FileFormatError):
+            read(path)
+
+
+@pytest.mark.parametrize("kind", BINARY_FORMATS)
+def test_binary_file_trailing_byte_rejected(index_files, kind, tmp_path):
+    data, read = index_files[kind]
+    path = tmp_path / kind
+    path.write_bytes(data)
+    read(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(FileFormatError, match="1 bytes after the last block"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", BINARY_FORMATS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_binary_file_mutated_bytes_parse_or_raise_value_error(index_files, kind, tmp_path,
+                                                              edits):
+    data, read = index_files[kind]
+    data = bytearray(data)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    path = tmp_path / kind
+    path.write_bytes(bytes(data))
+    try:
+        read(path)
+    except (FileFormatError, ValueError):
+        pass
 
 
 # --- run files and ground truth -----------------------------------------------------
