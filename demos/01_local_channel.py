@@ -31,7 +31,7 @@ print(f"max center-pair distance per subspace: {np.round(pq.max_dist, 3)}")
 
 print()
 print("=== 2. PQ similarity is a normalized, table-driven score in [0, 1] ===")
-table = PQScoreTable(pq)  # one (n_centers, n_centers) table per subspace
+table = PQScoreTable(pq)  # (m, n_centers, n_centers): one table per subspace
 
 
 def table_score(a, b):

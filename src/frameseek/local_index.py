@@ -9,6 +9,7 @@ carries an idf table used to weight match scores.
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .geometry import FrameGeometry, quantize_log_scale, quantize_theta
 
 DESCRIPTOR_DIM = 128
 ENCODE_BLOCK_ROWS = 8192  # rows converted to float64 and encoded at a time
-# the arrays of each inverted list, as LocalIndex.postings and LIDX store them
+# the posting columns of the inverted file, as LocalIndex and LIDX store them
 POSTING_DTYPES = {"codes": np.uint8, "qx": np.uint16, "qy": np.uint16,
                   "qtheta": np.uint8, "qscale": np.uint8, "frame": np.uint32}
 
@@ -40,12 +41,14 @@ class Postings:
 
 @dataclass
 class LocalIndex:
-    """Frozen inverted file over coarse words.
+    """Frozen inverted file over coarse words, stored CSR.
 
-    Postings for each retained word are struct-of-arrays, sorted by frame id.
-    `stop_mask` marks exactly ceil(prune_fraction * n_words) words of highest
-    document frequency (ties stop the lower word id); their postings are
-    dropped. idf[w] = ln(n_frames / (1 + doc_freq[w])), clamped at 0.
+    The postings of word w are rows word_offsets[w]:word_offsets[w + 1] of
+    the posting columns, sorted by frame id. `codes` is subspace-major, so
+    one subspace's codes over any range are one contiguous run of bytes.
+    `stop_mask` marks exactly ceil(prune_fraction * n_words) words of
+    highest document frequency (ties stop the lower word id); they have no
+    postings. idf[w] = ln(n_frames / (1 + doc_freq[w])), clamped at 0.
     """
 
     n_words: int
@@ -57,14 +60,39 @@ class LocalIndex:
     stop_mask: np.ndarray  # (n_words,) bool
     idf: np.ndarray  # (n_words,) float32
     frame_to_video: dict[int, int]
-    postings: dict[int, dict[str, np.ndarray]] = field(repr=False)
+    word_offsets: np.ndarray  # (n_words + 1,) int64
+    codes: np.ndarray  # (m, n_postings) uint8 PQ codes
+    qx: np.ndarray  # (n_postings,) uint16 quantized geometry
+    qy: np.ndarray  # (n_postings,) uint16
+    qtheta: np.ndarray  # (n_postings,) uint8
+    qscale: np.ndarray  # (n_postings,) uint8
+    frame: np.ndarray  # (n_postings,) uint32 frame id
+
+    # the per-word view below, built on first use; the engine scans the columns
+    _postings: MappingProxyType | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     @property
     def n_frames(self) -> int:
         return len(self.frame_to_video)
 
     def n_postings(self) -> int:
-        return sum(arrs["frame"].shape[0] for arrs in self.postings.values())
+        return int(self.word_offsets[-1])
+
+    @property
+    def postings(self) -> MappingProxyType:
+        """Read-only {word: {column: view}} over the words that have
+        postings, built on first use; a word's codes view is (count, m)."""
+        if self._postings is None:
+            offsets = self.word_offsets
+            words = np.flatnonzero(offsets[1:] > offsets[:-1])
+            self._postings = MappingProxyType({
+                word: MappingProxyType({name: self.codes[:, lo:hi].T if name == "codes"
+                                        else getattr(self, name)[lo:hi]
+                                        for name in POSTING_DTYPES})
+                for word, lo, hi in zip(words.tolist(), offsets[words].tolist(),
+                                        offsets[words + 1].tolist())})
+        return self._postings
 
 
 def _row_blocks(frames, block_rows: int):
@@ -129,7 +157,8 @@ def build_local_index(postings: Postings, frame_to_video: dict[int, int],
     One stable lexsort on (word, frame) orders the postings the way the
     inverted file stores them (postings of one frame keep their input
     order); a word's document frequency is the number of distinct frames in
-    its run, and each retained word's lists are slices of the sorted columns.
+    its run. The sorted columns minus the stopped words' runs are the CSR
+    posting columns, and per-word counts give word_offsets.
 
     Raises:
         ValueError: empty posting stream, a word outside [0, n_words), or
@@ -162,14 +191,14 @@ def build_local_index(postings: Postings, frame_to_video: dict[int, int],
 
     keep = ~stop_mask[word]
     kept = order[keep]
+    word_offsets = np.zeros(n_words + 1, dtype=np.int64)
+    np.cumsum(np.bincount(word[keep], minlength=n_words), out=word_offsets[1:])
     columns = {name: getattr(postings, name)[kept].astype(dtype, copy=False)
                for name, dtype in POSTING_DTYPES.items()}
-    kept_words, starts = np.unique(word[keep], return_index=True)
-    ends = np.append(starts[1:], kept.shape[0])
-    packed = {int(w): {name: col[lo:hi] for name, col in columns.items()}
-              for w, lo, hi in zip(kept_words.tolist(), starts.tolist(), ends.tolist())}
+    columns["codes"] = np.ascontiguousarray(columns["codes"].T)
 
     return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
                       prune_fraction=prune_fraction, geometry=geometry,
                       doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
-                      frame_to_video=dict(frame_to_video), postings=packed)
+                      frame_to_video=dict(frame_to_video), word_offsets=word_offsets,
+                      **columns)

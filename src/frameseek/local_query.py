@@ -77,19 +77,21 @@ class Matches:
 
 class PQScoreTable:
     """Precomputed per-subspace lookup tables for normalized code-to-code
-    scoring.
+    scoring, one (m, n_centers, n_centers) array.
 
-    sim[k][i, j] = 1 - ||c_i - c_j|| / max_dist[k], clipped into [0, 1].
+    tables[k, i, j] = 1 - ||c_i - c_j|| / max_dist[k], clipped into [0, 1];
+    each table is exactly symmetric, so a row is also a column.
     """
 
     def __init__(self, pq: PQModel):
         self.m = pq.m
-        self.tables = []
+        tables = []
         for j, sub in enumerate(pq.sub_models):
             centers = sub.centers.astype(np.float64)
             diff = centers[:, None, :] - centers[None, :, :]
             dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            self.tables.append(np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0))
+            tables.append(np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0))
+        self.tables = np.stack(tables)
 
 
 def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel,
@@ -114,14 +116,14 @@ def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel,
 
 
 def _asymmetric_tables(residuals: np.ndarray, pq: PQModel) -> np.ndarray:
-    """Per-keypoint lookup tables, shape (n_query, m, n_centers): the clipped
+    """Per-keypoint lookup tables, shape (m, n_query, n_centers): the clipped
     normalized similarity of each raw residual slice to every sub-center."""
     sub_dim = pq.sub_dim
-    luts = np.empty((residuals.shape[0], pq.m, pq.n_centers), dtype=np.float64)
+    luts = np.empty((pq.m, residuals.shape[0], pq.n_centers), dtype=np.float64)
     for j, sub in enumerate(pq.sub_models):
         r = residuals[:, None, j * sub_dim:(j + 1) * sub_dim]
         dist = np.sqrt(np.sum((sub.centers.astype(np.float64) - r) ** 2, axis=2))
-        luts[:, j] = np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0)
+        luts[j] = np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0)
     return luts
 
 
@@ -131,53 +133,61 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
     """Scan the inverted lists of the query's words and keep matches whose PQ
     similarity exceeds tau_pq, weighted by the word's idf.
 
-    The posting ranges of every query keypoint whose word has postings and a
-    positive idf are gathered into one block and scored with m lookup-table
-    gathers, one per subquantizer (IVFADC-style). Stopped words have no
-    postings and are skipped by construction. Asymmetric mode scores the raw
-    query residual against reference centers (requires postings encoded with
-    keep_residuals=True). `table` is `PQScoreTable(pq)`, passed in to build
-    it once per query batch.
+    Every query keypoint whose word has postings and a positive idf is live.
+    The positions of all live keypoints' posting ranges are scored together
+    with m flat lookup-table gathers, one per subquantizer (IVFADC-style);
+    the other posting columns are gathered at the hits only. Stopped words
+    have no postings and are skipped by construction. Asymmetric mode scores
+    the raw query residual against reference centers (requires postings
+    encoded with keep_residuals=True). `table` is `PQScoreTable(pq)`, passed
+    in to build it once per query batch.
     """
     if not 0.0 <= tau_pq < 1.0:
         raise ValueError("tau_pq must be in [0, 1)")
-    live = [p for p in query if p.word in index.postings and index.idf[p.word] > 0.0]
-    if not live:
+    words = np.array([p.word for p in query], dtype=np.int64)
+    known = words < index.n_words
+    words = np.where(known, words, 0)
+    lo, hi = index.word_offsets[words], index.word_offsets[words + 1]
+    live = np.flatnonzero(known & (hi > lo) & (index.idf[words] > 0.0))
+    if not live.size:
         return Matches(*(np.empty(0) for _ in fields(Matches)))
-    ranges = [index.postings[p.word] for p in live]
-    row = np.repeat(np.arange(len(live)), [r["frame"].shape[0] for r in ranges])
-    ref_codes = np.concatenate([r["codes"] for r in ranges])
+    live_query = [query[i] for i in live.tolist()]
+    lo, counts = lo[live], (hi - lo)[live]
+    ends = np.cumsum(counts)
+    # pos: the index row of every scanned posting, range after range
+    pos = np.repeat(lo - (ends - counts), counts) + np.arange(ends[-1])
+    n_centers = pq.n_centers
     if asymmetric:
-        if any(p.residual is None for p in live):
+        if any(p.residual is None for p in live_query):
             raise ValueError("asymmetric scoring needs query residuals")
-        luts = _asymmetric_tables(np.stack([p.residual for p in live]), pq)
+        luts = _asymmetric_tables(np.stack([p.residual for p in live_query]), pq)
     else:
-        # per-keypoint rows of the code-to-code tables: (n_query, m, n_centers)
-        # stays in cache where the full (m, n_centers, n_centers) tables do not
-        q_codes = np.stack([p.codes for p in live])
+        # row j of live keypoint i is the score of its code i_j against every
+        # center of subspace j: small enough to stay in cache
+        q_codes = np.stack([p.codes for p in live_query])
         tables = (table or PQScoreTable(pq)).tables
-        luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(tables)], axis=1)
-    scores = np.zeros(row.shape[0], dtype=np.float64)
-    for j in range(luts.shape[1]):
-        scores += luts[row, j, ref_codes[:, j]]
-    scores /= luts.shape[1]
+        luts = tables[np.arange(pq.m)[:, None], q_codes.T]
+    luts = luts.reshape(pq.m, live.size * n_centers)
+    lut_base = np.repeat(np.arange(0, live.size * n_centers, n_centers), counts)
+    scores = np.zeros(pos.shape[0], dtype=np.float64)
+    for j in range(pq.m):
+        scores += luts[j].take(lut_base + index.codes[j].take(pos))
+    scores /= pq.m
 
     hits = np.flatnonzero(scores > tau_pq)
-    row = row[hits]
-
-    def gather(name):
-        return np.concatenate([r[name] for r in ranges])[hits]
-
-    idf = index.idf[[p.word for p in live]].astype(np.float64)
-    rx, ry = index.geometry.dequantize_xy(gather("qx"), gather("qy"))
-    qgeom = np.array([(p.x, p.y, p.theta, p.log_scale) for p in live], dtype=np.float64)[row]
+    row = lut_base[hits] // n_centers
+    hit_pos = pos[hits]
+    idf = index.idf[words[live]].astype(np.float64)
+    rx, ry = index.geometry.dequantize_xy(index.qx[hit_pos], index.qy[hit_pos])
+    qgeom = np.array([(p.x, p.y, p.theta, p.log_scale) for p in live_query],
+                     dtype=np.float64)[row]
     return Matches(
-        frame=gather("frame"),
-        query_index=np.array([p.index for p in live], dtype=np.int64)[row],
+        frame=index.frame[hit_pos],
+        query_index=np.array([p.index for p in live_query], dtype=np.int64)[row],
         score=idf[row] * scores[hits],
         qx=qgeom[:, 0], qy=qgeom[:, 1], qtheta=qgeom[:, 2], qlog_scale=qgeom[:, 3],
-        rx=rx, ry=ry, rtheta=dequantize_theta(gather("qtheta")),
-        rlog_scale=dequantize_log_scale(gather("qscale")))
+        rx=rx, ry=ry, rtheta=dequantize_theta(index.qtheta[hit_pos]),
+        rlog_scale=dequantize_log_scale(index.qscale[hit_pos]))
 
 
 def _theta_bin(theta_rel, n_bins: int):

@@ -8,6 +8,7 @@ twice yields byte-identical files.
 """
 
 import io
+import math
 import struct
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .codebooks import (BinaryCenters, CodebookSet, GMMModel, KMeansModel,
                         PCAModel, PQModel)
 from .geometry import FrameGeometry
 from .global_index import GlobalIndex
-from .local_index import DESCRIPTOR_DIM, LocalIndex
+from .local_index import DESCRIPTOR_DIM, POSTING_DTYPES, LocalIndex
 
 FORMAT_VERSION = 1
 
@@ -82,9 +83,6 @@ class _Reader:
 
     def u32_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * count), dtype="<u4").copy()
-
-    def u16_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(2 * count), dtype="<u2").copy()
 
     def u8_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(count), dtype=np.uint8).copy()
@@ -329,22 +327,28 @@ def write_local_index(index: LocalIndex, path: str | Path) -> None:
     out.write(np.packbits(index.stop_mask.astype(np.uint8), bitorder="little").tobytes())
     out.write(_f32_bytes(index.idf))
     out.write(_u32_bytes(index.doc_freq))
-    words = sorted(index.postings)
-    out.write(struct.pack("<I", len(words)))
-    for word in words:
-        arrs = index.postings[word]
-        count = arrs["frame"].shape[0]
-        out.write(struct.pack("<II", word, count))
-        out.write(np.ascontiguousarray(arrs["codes"], dtype=np.uint8).tobytes())
-        out.write(np.ascontiguousarray(arrs["qx"], dtype="<u2").tobytes())
-        out.write(np.ascontiguousarray(arrs["qy"], dtype="<u2").tobytes())
-        out.write(np.ascontiguousarray(arrs["qtheta"], dtype=np.uint8).tobytes())
-        out.write(np.ascontiguousarray(arrs["qscale"], dtype=np.uint8).tobytes())
-        out.write(_u32_bytes(arrs["frame"]))
+    offsets = index.word_offsets
+    words = np.flatnonzero(offsets[1:] > offsets[:-1])
+    out.write(struct.pack("<I", words.shape[0]))
+    columns = [np.ascontiguousarray(index.codes.T if name == "codes" else getattr(index, name),
+                                    dtype=np.dtype(dtype).newbyteorder("<"))
+               for name, dtype in POSTING_DTYPES.items()]  # codes as (n_postings, m) rows
+    for word, lo, hi in zip(words.tolist(), offsets[words].tolist(), offsets[words + 1].tolist()):
+        out.write(struct.pack("<II", word, hi - lo))
+        for column in columns:
+            out.write(column[lo:hi].tobytes())
     Path(path).write_bytes(out.getvalue())
 
 
 def read_local_index(path: str | Path) -> LocalIndex:
+    """Read an LIDX file into the CSR columns of a LocalIndex.
+
+    Raises:
+        FileFormatError: bad magic or version, truncation, trailing bytes, a
+            repeated frame id in the frame table, a word id at or above
+            n_words or not above the previous block's, or a posting whose
+            frame id is not in the frame table.
+    """
     r = _open_checked(path, MAGIC_LOCAL_INDEX)
     n_words, m, n_pq = r.u32(), r.u32(), r.u32()
     prune_fraction = r.f32()
@@ -352,28 +356,51 @@ def read_local_index(path: str | Path) -> LocalIndex:
     width, height = r.f32(), r.f32()
     frame_ids = r.u32_array(n_frames)
     video_ids = r.u32_array(n_frames)
+    table_ids = np.unique(frame_ids)
+    if table_ids.shape[0] != n_frames:
+        raise FileFormatError(f"{r.path}: repeated frame id in the frame table")
     mask_bytes = r.u8_array(packed_length(n_words))
     stop_mask = np.unpackbits(mask_bytes, bitorder="little")[:n_words].astype(bool)
     idf = r.f32_array(n_words)
     doc_freq = r.u32_array(n_words)
-    postings = {}
-    for _ in range(r.u32()):
-        word, count = r.u32(), r.u32()
-        postings[word] = {
-            "codes": r.u8_array(count * m).reshape(count, m),
-            "qx": r.u16_array(count),
-            "qy": r.u16_array(count),
-            "qtheta": r.u8_array(count),
-            "qscale": r.u8_array(count),
-            "frame": r.u32_array(count),
-        }
+    n_blocks = r.u32()
+    # each block: (word, count), then count rows of each column, codes as (count, m)
+    layout = [(name, np.dtype(dtype).newbyteorder("<"), m if name == "codes" else 1)
+              for name, dtype in POSTING_DTYPES.items()]
+    row_bytes = sum(dtype.itemsize * per_row for _, dtype, per_row in layout)
+    counts = np.zeros(n_words, dtype=np.int64)
+    parts = {name: [np.empty(0, dtype)] for name, dtype, _ in layout}
+    last = -1
+    for _ in range(n_blocks):
+        word, count = struct.unpack("<II", r.take(8))
+        if word >= n_words:
+            raise FileFormatError(f"{r.path}: word {word} outside [0, {n_words})")
+        if word <= last:
+            raise FileFormatError(f"{r.path}: word {word} "
+                                  f"{'repeated' if word == last else 'out of ascending order'}")
+        last, counts[word] = word, count
+        # take() checks the block against the bytes left before any copy
+        block, at = r.take(count * row_bytes), 0
+        for name, dtype, per_row in layout:
+            size = count * per_row * dtype.itemsize
+            parts[name].append(np.frombuffer(block[at:at + size], dtype=dtype))
+            at += size
     r.expect_end()
+    columns = {name: np.concatenate(parts[name]).astype(dtype, copy=False)
+               for name, dtype in POSTING_DTYPES.items()}
+    columns["codes"] = np.ascontiguousarray(columns["codes"].reshape(int(counts.sum()), m).T)
+    unknown = columns["frame"][~np.isin(columns["frame"], table_ids)]
+    if unknown.size:
+        raise FileFormatError(f"{r.path}: posting frame id {unknown[0]} is not in the "
+                              "frame table")
+    word_offsets = np.zeros(n_words + 1, dtype=np.int64)
+    np.cumsum(counts, out=word_offsets[1:])
     return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq,
                       prune_fraction=float(prune_fraction),
                       geometry=FrameGeometry(width=float(width), height=float(height)),
                       doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
-                      frame_to_video={int(f): int(v) for f, v in zip(frame_ids, video_ids)},
-                      postings=postings)
+                      frame_to_video=dict(zip(frame_ids.tolist(), video_ids.tolist())),
+                      word_offsets=word_offsets, **columns)
 
 
 # --- global index (GIDX) --------------------------------------------------
@@ -424,18 +451,39 @@ def write_run(runs: dict[int, list[tuple[int, float]]], path: str | Path) -> Non
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _text_lines(path: Path):
+    """(line number, stripped text) of every non-blank line of a UTF-8 file."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
+        if line:
+            yield lineno, line
+
+
+def _check_ids(path: Path, lineno: int, *ids: int) -> None:
+    if not all(0 <= i <= _U32_MAX for i in ids):
+        raise FileFormatError(f"{path}:{lineno}: id outside [0, 2^32)")
+
+
 def read_run(path: str | Path) -> dict[int, list[tuple[int, float]]]:
+    """Read a run file: per query, (video, score) in rank order.
+
+    Raises:
+        FileFormatError: a line that is not 'query<TAB>video<TAB>rank<TAB>
+            score' with ids in [0, 2^32) and a finite score, a repeated
+            (query, video) pair, a rank gap, or a score above the one
+            ranked before it.
+    """
     path = Path(path)
     runs: dict[int, list[tuple[int, float]]] = {}
     seen: set[tuple[int, int]] = set()
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _text_lines(path):
         fields = line.split("\t")
         if len(fields) != 4:
             raise FileFormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
@@ -443,6 +491,9 @@ def read_run(path: str | Path) -> dict[int, list[tuple[int, float]]]:
             query, video, rank, score = int(fields[0]), int(fields[1]), int(fields[2]), float(fields[3])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        _check_ids(path, lineno, query, video)
+        if not math.isfinite(score):
+            raise FileFormatError(f"{path}:{lineno}: score {score} is not finite")
         if (query, video) in seen:
             raise FileFormatError(f"{path}:{lineno}: duplicate (query, video) pair ({query}, {video})")
         seen.add((query, video))
@@ -461,21 +512,21 @@ def write_ground_truth(gt: dict[int, set[int]], path: str | Path) -> None:
 
 
 def read_ground_truth(path: str | Path) -> dict[int, set[int]]:
+    """Read 'query<TAB>video' lines, ids in [0, 2^32), into per-query sets.
+
+    Raises:
+        FileFormatError: a line of another shape or an id out of range.
+    """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
     gt: dict[int, set[int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _text_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected 'query<TAB>video'")
         try:
-            gt.setdefault(int(fields[0]), set()).add(int(fields[1]))
+            query, video = int(fields[0]), int(fields[1])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        _check_ids(path, lineno, query, video)
+        gt.setdefault(query, set()).add(video)
     return gt

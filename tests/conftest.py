@@ -1,5 +1,8 @@
+import io
 import math
+import struct
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from frameseek import (FrameGeometry, GlobalIndex, HoughConfig, LocalIndex,
                        pq_train, probe_candidates, wrap_angle)
 from frameseek.bits import packed_length
 from frameseek.fusion import GLOBAL, RankedList, rank_videos
+from frameseek.geometry import dequantize_log_scale, dequantize_theta
+from frameseek.local_index import POSTING_DTYPES
+from frameseek.local_query import _asymmetric_tables
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +68,8 @@ def build_local_index_oracle(postings, frame_to_video, n_words, m, n_pq_centers,
                              prune_fraction=0.05, geometry=None):
     """One posting at a time: a seen set for document frequencies, postings
     grouped by word, each word's list sorted by frame with Python's stable
-    sort."""
+    sort. Returns the index, whose CSR columns are the lists concatenated in
+    ascending word order, and the per-word lists themselves."""
     geometry = geometry or FrameGeometry()
     doc_freq = np.zeros(n_words, dtype=np.uint32)
     seen = set()
@@ -80,10 +87,10 @@ def build_local_index_oracle(postings, frame_to_video, n_words, m, n_pq_centers,
     for p in postings:
         if not stop_mask[p.word]:
             by_word.setdefault(p.word, []).append(p)
-    packed = {}
+    lists = {}
     for word in sorted(by_word):
         plist = sorted(by_word[word], key=lambda p: p.frame_id)
-        packed[word] = {
+        lists[word] = {
             "codes": np.stack([p.codes for p in plist]).astype(np.uint8),
             "qx": np.array([p.qx for p in plist], dtype=np.uint16),
             "qy": np.array([p.qy for p in plist], dtype=np.uint16),
@@ -91,10 +98,88 @@ def build_local_index_oracle(postings, frame_to_video, n_words, m, n_pq_centers,
             "qscale": np.array([p.qscale for p in plist], dtype=np.uint8),
             "frame": np.array([p.frame_id for p in plist], dtype=np.uint32),
         }
-    return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
-                      prune_fraction=prune_fraction, geometry=geometry,
-                      doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
-                      frame_to_video=dict(frame_to_video), postings=packed)
+    counts = np.zeros(n_words, dtype=np.int64)
+    for word, arrs in lists.items():
+        counts[word] = arrs["frame"].shape[0]
+    columns = {name: np.concatenate([arrs[name] for arrs in lists.values()]
+                                    or [np.empty((0, m) if name == "codes" else 0, dtype)])
+               for name, dtype in POSTING_DTYPES.items()}
+    index = LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
+                       prune_fraction=prune_fraction, geometry=geometry,
+                       doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
+                       frame_to_video=dict(frame_to_video),
+                       word_offsets=np.concatenate([[0], np.cumsum(counts)]),
+                       **{**columns, "codes": np.ascontiguousarray(columns["codes"].T)})
+    return index, lists
+
+
+def write_local_index_oracle(index, lists, path):
+    """LIDX bytes written one inverted list at a time: the header fields of
+    `index`, then one block per word of `lists` in ascending word order."""
+    out = io.BytesIO()
+    out.write(b"LIDX")
+    out.write(struct.pack("<H", 1))
+    out.write(struct.pack("<III", index.n_words, index.m, index.n_pq_centers))
+    out.write(struct.pack("<f", index.prune_fraction))
+    out.write(struct.pack("<I", index.n_frames))
+    out.write(struct.pack("<ff", index.geometry.width, index.geometry.height))
+    frame_ids = sorted(index.frame_to_video)
+    out.write(np.array(frame_ids, dtype="<u4").tobytes())
+    out.write(np.array([index.frame_to_video[f] for f in frame_ids], dtype="<u4").tobytes())
+    out.write(np.packbits(index.stop_mask.astype(np.uint8), bitorder="little").tobytes())
+    out.write(index.idf.astype("<f4").tobytes())
+    out.write(index.doc_freq.astype("<u4").tobytes())
+    out.write(struct.pack("<I", len(lists)))
+    for word in sorted(lists):
+        arrs = lists[word]
+        out.write(struct.pack("<II", word, arrs["frame"].shape[0]))
+        out.write(np.ascontiguousarray(arrs["codes"], dtype=np.uint8).tobytes())
+        out.write(np.ascontiguousarray(arrs["qx"], dtype="<u2").tobytes())
+        out.write(np.ascontiguousarray(arrs["qy"], dtype="<u2").tobytes())
+        out.write(np.ascontiguousarray(arrs["qtheta"], dtype=np.uint8).tobytes())
+        out.write(np.ascontiguousarray(arrs["qscale"], dtype=np.uint8).tobytes())
+        out.write(np.ascontiguousarray(arrs["frame"], dtype="<u4").tobytes())
+    Path(path).write_bytes(out.getvalue())
+
+
+# --- dict-based match collection, kept as the oracle for the CSR scan ---------
+
+def collect_matches_oracle(query, index, pq, tau_pq=0.72, asymmetric=False, table=None):
+    """Concatenate the inverted lists of the live query keypoints, one dict
+    lookup per keypoint, score them with (n_query, m, n_centers) tables, and
+    concatenate every posting column before keeping the hits."""
+    live = [p for p in query if p.word in index.postings and index.idf[p.word] > 0.0]
+    if not live:
+        return Matches(*(np.empty(0) for _ in fields(Matches)))
+    ranges = [index.postings[p.word] for p in live]
+    row = np.repeat(np.arange(len(live)), [r["frame"].shape[0] for r in ranges])
+    ref_codes = np.concatenate([r["codes"] for r in ranges])
+    if asymmetric:
+        luts = _asymmetric_tables(np.stack([p.residual for p in live]), pq).transpose(1, 0, 2)
+    else:
+        q_codes = np.stack([p.codes for p in live])
+        tables = (table or PQScoreTable(pq)).tables
+        luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(tables)], axis=1)
+    scores = np.zeros(row.shape[0], dtype=np.float64)
+    for j in range(luts.shape[1]):
+        scores += luts[row, j, ref_codes[:, j]]
+    scores /= luts.shape[1]
+    hits = np.flatnonzero(scores > tau_pq)
+    row = row[hits]
+
+    def gather(name):
+        return np.concatenate([r[name] for r in ranges])[hits]
+
+    idf = index.idf[[p.word for p in live]].astype(np.float64)
+    rx, ry = index.geometry.dequantize_xy(gather("qx"), gather("qy"))
+    qgeom = np.array([(p.x, p.y, p.theta, p.log_scale) for p in live], dtype=np.float64)[row]
+    return Matches(
+        frame=gather("frame"),
+        query_index=np.array([p.index for p in live], dtype=np.int64)[row],
+        score=idf[row] * scores[hits],
+        qx=qgeom[:, 0], qy=qgeom[:, 1], qtheta=qgeom[:, 2], qlog_scale=qgeom[:, 3],
+        rx=rx, ry=ry, rtheta=dequantize_theta(gather("qtheta")),
+        rlog_scale=dequantize_log_scale(gather("qscale")))
 
 
 # --- scalar Hough vote, kept as the oracle for the columnar one ---------------

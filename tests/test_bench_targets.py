@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from frameseek import (BinaryCenters, EngineConfig, build_global_index,
                        build_local_index, encode_frame_local,
@@ -71,3 +72,17 @@ def test_local_results_read_by_the_benchmark(small_bow, small_pq):
         if postings is not None:
             scanned += postings["frame"].shape[0]
     assert scanned > 0
+    # the per-word view is the CSR slices, and the posting count their total
+    offsets = index.word_offsets
+    assert index.n_postings() == offsets[-1] == sum(
+        arrs["frame"].shape[0] for arrs in index.postings.values())
+    assert list(index.postings) == np.flatnonzero(np.diff(offsets)).tolist()
+    for word, arrs in index.postings.items():
+        lo, hi = offsets[word], offsets[word + 1]
+        np.testing.assert_array_equal(arrs["codes"], index.codes[:, lo:hi].T)
+        for name in ("qx", "qy", "qtheta", "qscale", "frame"):
+            np.testing.assert_array_equal(arrs[name], getattr(index, name)[lo:hi])
+    with pytest.raises((AttributeError, TypeError)):
+        index.postings = {}
+    with pytest.raises(TypeError):
+        index.postings[0] = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frameseek.cli import main
-from frameseek.storage import read_run
+from frameseek.storage import read_local_index, read_run, write_local_index
 
 
 TRAIN_FLAGS = ["--d-bow", "16", "--d-pq", "8", "--d-fk", "2", "--pca-dim", "6",
@@ -213,3 +213,19 @@ def test_text_frame_with_two_videos_clean_error(workspace, tmp_path, capsys):
     assert err.startswith("error=") and "\n" not in err.strip()
     assert "refs.ldsc:2: frame 0 has video ids 0 and 1" in err
     assert not (tmp_path / "x.lidx").exists()
+
+
+def test_local_index_with_unknown_frame_clean_error(workspace, tmp_path, capsys):
+    index = read_local_index(workspace["local_idx"])
+    index.frame = index.frame.copy()
+    index.frame[-1] = 1000  # no such frame in the index's frame table
+    bad = tmp_path / "bad.lidx"
+    write_local_index(index, bad)
+    rc = main(["query-local", "--index", str(bad), "--codebooks", str(workspace["books"]),
+               "--query", str(workspace["corpus"] / "queries.ldsc"),
+               "--out", str(tmp_path / "x.run")])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error=") and "\n" not in err.strip()
+    assert f"{bad}: posting frame id 1000 is not in the frame table" in err
+    assert not (tmp_path / "x.run").exists()

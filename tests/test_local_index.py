@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (LocalPosting, build_local_index_oracle, kmeans_assign,
-                      postings_from_rows, pq_encode)
+                      postings_from_rows, pq_encode, write_local_index_oracle)
 from frameseek import (LocalRecord, build_local_index, encode_frame_local,
                        records_to_rows)
 from frameseek.geometry import (FrameGeometry, dequantize_log_scale,
                                 dequantize_theta, quantize_log_scale,
                                 quantize_theta, wrap_angle)
 from frameseek import local_index
+from frameseek.local_index import POSTING_DTYPES
 from frameseek.storage import write_local_index
 
 
@@ -225,10 +226,15 @@ def test_build_writes_oracle_lidx_bytes(seed, prune_fraction, tmp_path):
     args = dict(n_words=n_words, m=4, n_pq_centers=8, prune_fraction=prune_fraction,
                 geometry=geometry)
     got = build_local_index(postings_from_rows(postings), frame_to_video, **args)
-    want = build_local_index_oracle(postings, frame_to_video, **args)
+    want, lists = build_local_index_oracle(postings, frame_to_video, **args)
+    # the CSR columns are the oracle's per-word lists, end to end
+    for name in ("word_offsets", *POSTING_DTYPES):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.codes.flags.c_contiguous and got.codes.shape == (4, got.n_postings())
+    assert got.postings.keys() == lists.keys()
     write_local_index(got, tmp_path / "got.lidx")
-    write_local_index(want, tmp_path / "want.lidx")
+    write_local_index_oracle(want, lists, tmp_path / "want.lidx")
     assert (tmp_path / "got.lidx").read_bytes() == (tmp_path / "want.lidx").read_bytes()
-    assert got.postings.keys() == want.postings.keys()
     if prune_fraction == 0.05:  # one stop between two words in every frame
         assert got.stop_mask[n_words - 2] and not got.stop_mask[n_words - 1]

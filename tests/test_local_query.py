@@ -1,12 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import (MatchCandidate, hough_verify_oracle, match_rows,
-                      matches_from_rows, pq_score, pq_score_asymmetric)
-from frameseek import (FrameGeometry, HoughConfig, LocalRecord,
-                       PQScoreTable, build_local_index, collect_matches,
+from conftest import (MatchCandidate, collect_matches_oracle, hough_verify_oracle,
+                      match_rows, matches_from_rows, pq_score, pq_score_asymmetric)
+from frameseek import (FrameGeometry, HoughConfig, LocalRecord, Matches,
+                       Postings, PQScoreTable, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, hough_verify,
                        local_rank, query_score_mass, records_to_rows,
                        transform_records)
@@ -42,7 +43,8 @@ def make_rows(descriptors, seed=0):
 
 
 def build_corpus_index(small_bow, small_pq, n_videos=4, frames_per_video=3,
-                       keypoints=12, prune=0.0, seed=70):
+                       keypoints=12, prune=0.0, seed=70, drop_words=()):
+    """Index of random frames; keypoints on `drop_words` are left out."""
     gen = np.random.default_rng(seed)
     frames = []
     frame_to_video = {}
@@ -54,6 +56,8 @@ def build_corpus_index(small_bow, small_pq, n_videos=4, frames_per_video=3,
             frame_to_video[fid] = video
             fid += 1
     postings = encode_frame_local(frames, small_bow, small_pq)
+    keep = ~np.isin(postings.word, list(drop_words))
+    postings = Postings(**{f.name: getattr(postings, f.name)[keep] for f in fields(Postings)})
     index = build_local_index(postings, frame_to_video, n_words=small_bow.k,
                               m=small_pq.m, n_pq_centers=small_pq.n_centers,
                               prune_fraction=prune)
@@ -183,6 +187,43 @@ def test_collect_matches_asymmetric_equals_full_scan_oracle(small_bow, small_pq)
     plain = encode_query_local(query_rows, small_bow, small_pq)
     with pytest.raises(ValueError, match="residuals"):
         collect_matches(plain, index, small_pq, tau_pq=0.5, asymmetric=True)
+
+
+def assert_same_matches(got, want):
+    for f in fields(Matches):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+@pytest.mark.parametrize("tau", [0.05, 0.5, 0.72, 0.9])
+def test_collect_matches_equals_dict_oracle(small_bow, small_pq, asymmetric, tau):
+    """The CSR scan returns the dict-based scan's matches exactly, column by
+    column, with stopped, zero-idf, posting-less, out-of-range and repeated
+    query words among the keypoints."""
+    missing = 5
+    index, frames = build_corpus_index(small_bow, small_pq, prune=0.2, drop_words={missing})
+    stopped = int(np.flatnonzero(index.stop_mask)[0])
+    live_words = np.flatnonzero(index.word_offsets[1:] > index.word_offsets[:-1])
+    zero_idf = int(live_words[0])
+    index.idf = index.idf.copy()
+    index.idf[zero_idf] = 0.0
+    gen = np.random.default_rng(84)
+    rows = np.concatenate([frames[0][2], frames[7][2], make_rows(gen.normal(size=(10, 32)), 84)])
+    query = encode_query_local(rows, small_bow, small_pq, keep_residuals=asymmetric)
+    query[0].word, query[1].word, query[2].word = stopped, zero_idf, missing
+    query[3].word = small_bow.k  # outside the vocabulary
+    query[4].word = query[5].word = query[6].word
+    assert missing not in index.postings and not index.stop_mask[missing]
+    table = PQScoreTable(small_pq)
+    args = dict(tau_pq=tau, asymmetric=asymmetric, table=table)
+    got = collect_matches(query, index, small_pq, **args)
+    assert_same_matches(got, collect_matches_oracle(query, index, small_pq, **args))
+    if not asymmetric or tau == 0.05:
+        assert len(got)  # the comparison is not vacuous
+    assert_same_matches(collect_matches([], index, small_pq, **args),
+                        collect_matches_oracle([], index, small_pq, **args))
 
 
 def test_collect_matches_tau_range(small_bow, small_pq):
@@ -351,13 +392,12 @@ def test_local_rank_self_retrieval_scores_one(small_bow, small_pq):
 
 
 def test_local_rank_disjoint_vocabulary_empty(small_bow, small_pq):
-    index, _ = build_corpus_index(small_bow, small_pq)
     gen = np.random.default_rng(78)
     records = make_rows(gen.normal(size=(6, 32)), seed=78)
-    # drop every inverted list the query would touch: no shared words at all
+    # index no keypoint on a word of the query: no shared words at all
     query_words = {p.word for p in encode_query_local(records, small_bow, small_pq)}
-    index.postings = {w: arrs for w, arrs in index.postings.items()
-                      if w not in query_words}
+    index, _ = build_corpus_index(small_bow, small_pq, drop_words=query_words)
+    assert not query_words & set(index.postings)
     ranked = local_rank(records, index, small_bow, small_pq, tau_pq=0.5, top_n=10)
     assert ranked.entries == []
 

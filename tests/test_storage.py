@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -11,7 +12,8 @@ from frameseek import (CodebookSet, FrameGeometry, LocalRecord,
                        binary_centers_train, build_global_index,
                        build_local_index, encode_frame_local, gmm_train,
                        make_signature, pca_fit, pq_train, records_to_rows)
-from frameseek.bits import pack_bits
+from frameseek.bits import pack_bits, packed_length
+from frameseek.local_index import POSTING_DTYPES
 from frameseek import storage
 from frameseek.storage import (FileFormatError, read_codebooks,
                                read_global_features, read_global_index,
@@ -331,10 +333,91 @@ def test_local_index_roundtrip_and_rebuild_identical(small_bow, small_pq, tmp_pa
     assert loaded.frame_to_video == index.frame_to_video
     np.testing.assert_array_equal(loaded.stop_mask, index.stop_mask)
     np.testing.assert_array_equal(loaded.idf, index.idf)
-    for word in index.postings:
-        for key in index.postings[word]:
-            np.testing.assert_array_equal(loaded.postings[word][key],
-                                          index.postings[word][key])
+    for name in ("word_offsets", *POSTING_DTYPES):
+        assert getattr(loaded, name).dtype == getattr(index, name).dtype
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
+    assert loaded.codes.flags.c_contiguous
+
+
+def lidx_blocks(index):
+    """Byte offset of each posting block's (word, count) header in the
+    index's LIDX file, and the offset of the block count before them."""
+    pos = (4 + 2 + 12 + 4 + 4 + 8 + 8 * index.n_frames + packed_length(index.n_words)
+           + 8 * index.n_words)
+    count_at, pos, starts = pos, pos + 4, []
+    for arrs in index.postings.values():
+        starts.append(pos)
+        pos += 8 + arrs["frame"].shape[0] * (index.m + 10)
+    return count_at, starts
+
+
+@pytest.fixture
+def small_lidx(small_bow, small_pq, tmp_path):
+    """A small LIDX file, its bytes and the index it was written from."""
+    gen = np.random.default_rng(118)
+    frames = [(f, v, records_to_rows(records)[:, :36])
+              for f, v, records in random_frames(gen, n_frames=4, keypoints=6)]
+    index = build_local_index(encode_frame_local(frames, small_bow, small_pq),
+                              {f: v for f, v, _ in frames}, n_words=small_bow.k,
+                              m=small_pq.m, n_pq_centers=small_pq.n_centers,
+                              prune_fraction=0.1)
+    path = tmp_path / "small.lidx"
+    write_local_index(index, path)
+    assert len(index.postings) >= 2
+    return path, bytearray(path.read_bytes()), index
+
+
+def patched(path, data, at, fmt, *values):
+    data = bytearray(data)
+    struct.pack_into(fmt, data, at, *values)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("case", ["outside", "repeated", "descending"])
+def test_local_index_bad_word_id_rejected(small_lidx, case):
+    path, data, index = small_lidx
+    _, (first, second, *_) = lidx_blocks(index)
+    words = list(index.postings)
+    at, word, message = {
+        "outside": (first, index.n_words, rf"word {index.n_words} outside \[0, "),
+        "repeated": (second, words[0], f"word {words[0]} repeated"),
+        "descending": (first, words[1] + 1, f"word {words[1]} out of ascending order"),
+    }[case]
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: {message}"):
+        read_local_index(patched(path, data, at, "<I", word))
+
+
+def test_local_index_posting_frame_outside_frame_table_rejected(small_lidx):
+    path, data, index = small_lidx
+    _, (first, *_) = lidx_blocks(index)
+    count = index.postings[next(iter(index.postings))]["frame"].shape[0]
+    last_frame = first + 8 + count * (index.m + 6) + 4 * (count - 1)
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: posting frame id 1000 is not in "):
+        read_local_index(patched(path, data, last_frame, "<I", 1000))
+
+
+def test_local_index_repeated_frame_table_id_rejected(small_lidx):
+    path, data, index = small_lidx
+    first_id = 4 + 2 + 12 + 4 + 4 + 8
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: repeated frame id in the frame table"):
+        read_local_index(patched(path, data, first_id + 4, "<I", min(index.frame_to_video)))
+
+
+@pytest.mark.parametrize("where", ["blocks", "postings"])
+def test_local_index_huge_count_rejected_before_allocation(small_lidx, where):
+    path, data, index = small_lidx
+    count_at, (first, *_) = lidx_blocks(index)
+    at = count_at if where == "blocks" else first + 4
+    patched(path, data, at, "<I", 2 ** 32 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_local_index(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(data) + 64 * 1024
 
 
 def test_global_index_roundtrip(tmp_path):
@@ -457,3 +540,102 @@ def test_ground_truth_roundtrip(tmp_path):
     write_ground_truth(gt, p)
     assert read_ground_truth(p) == gt
     assert p.read_text() == "3\t9\n5\t1\n5\t2\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1\t10\t1\tnan", "not finite"),
+    ("1\t10\t1\tinf", "not finite"),
+    ("1\t10\t1\t-inf", "not finite"),
+    ("-1\t10\t1\t0.5", "outside"),
+    ("1\t-10\t1\t0.5", "outside"),
+    (f"{2 ** 32}\t10\t1\t0.5", "outside"),
+    (f"1\t{2 ** 32}\t1\t0.5", "outside"),
+])
+def test_run_file_rejects_bad_values(tmp_path, line, message):
+    p = tmp_path / "bad.run"
+    p.write_text(f"0\t3\t1\t0.900000\n{line}\n")
+    with pytest.raises(FileFormatError, match=f"bad.run:2: .*{message}"):
+        read_run(p)
+
+
+def test_run_file_nan_does_not_hide_increasing_scores(tmp_path):
+    p = tmp_path / "nan.run"
+    p.write_text("1\t10\t1\tnan\n1\t11\t2\t5.0\n")
+    with pytest.raises(FileFormatError, match="nan.run:1: "):
+        read_run(p)
+
+
+@pytest.mark.parametrize("line", ["-1\t10", "1\t-10", f"{2 ** 32}\t10", f"1\t{2 ** 32}"])
+def test_ground_truth_rejects_ids_outside_u32(tmp_path, line):
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"0\t3\n{line}\n")
+    with pytest.raises(FileFormatError, match=r"bad.tsv:2: id outside \[0, 2\^32\)"):
+        read_ground_truth(p)
+
+
+@pytest.mark.parametrize("read", [read_run, read_ground_truth])
+def test_text_readers_name_line_of_undecodable_bytes(tmp_path, read):
+    p = tmp_path / "junk.txt"
+    p.write_bytes(b"1\t10\t1\t0.5\n\xff\xfe\n" if read is read_run else b"1\t10\n\xff\n")
+    with pytest.raises(FileFormatError, match="junk.txt:2: not UTF-8"):
+        read(p)
+
+
+def small_text_files(tmp_path):
+    """A run file and a ground-truth file, each with its reader and the
+    value it holds."""
+    runs = {0: [(3, 0.9), (7, 0.25), (1, 0.25)], 12: [(4, 1.0)], 2 ** 32 - 1: [(0, 0.0)]}
+    gt = {0: {3, 7}, 12: {4, 5}, 2 ** 32 - 1: {0}}
+    write_run(runs, tmp_path / "a.run")
+    write_ground_truth(gt, tmp_path / "a.tsv")
+    return {"run": ((tmp_path / "a.run").read_bytes(), read_run, runs),
+            "gt": ((tmp_path / "a.tsv").read_bytes(), read_ground_truth, gt)}
+
+
+def assert_valid_text_value(kind, value):
+    """What a reader returns holds only ids in [0, 2^32) and, for a run,
+    finite scores that never increase down a query's list."""
+    for query, entries in value.items():
+        assert 0 <= query < 2 ** 32
+        videos = [v for v, _ in entries] if kind == "run" else sorted(entries)
+        assert all(0 <= v < 2 ** 32 for v in videos)
+        if kind == "run":
+            scores = [s for _, s in entries]
+            assert all(math.isfinite(s) for s in scores)
+            assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize("kind", ["run", "gt"])
+def test_text_file_every_truncation_parses_or_raises_format_error(tmp_path, kind):
+    data, read, full = small_text_files(tmp_path)[kind]
+    path = tmp_path / "cut"
+    line_ends = {i + 1 for i, b in enumerate(data) if b == ord("\n")}
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        try:
+            value = read(path)
+        except FileFormatError:
+            assert cut not in line_ends | {0}  # whole lines always parse
+            continue
+        assert_valid_text_value(kind, value)
+        if cut == len(data):
+            assert value == full
+
+
+@pytest.mark.parametrize("kind", ["run", "gt"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_text_file_mutated_bytes_parse_or_raise_format_error(tmp_path, kind, edits):
+    data, read, _ = small_text_files(tmp_path)[kind]
+    data = bytearray(data)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    path = tmp_path / "mutated"
+    path.write_bytes(bytes(data))
+    try:
+        value = read(path)
+    except FileFormatError:
+        return
+    assert_valid_text_value(kind, value)
