@@ -510,11 +510,10 @@ def binary_assign_batch(centers: BinaryCenters, codes: np.ndarray) -> np.ndarray
 
 @dataclass
 class CodebookSet:
-    """Every trained model the engine needs, versioned as one bundle."""
+    """Every trained model the engine needs, stored as one versioned bundle."""
 
     bow: KMeansModel
     pq: PQModel
     pca: PCAModel
     gmm: GMMModel
     binary_centers: BinaryCenters
-    format_version: int = 1

@@ -164,9 +164,6 @@ def build_global_index_from_files(files: list[Path], books: CodebookSet,
 
 
 def check_compatible_local(books: CodebookSet, index: LocalIndex) -> None:
-    if books.format_version != 1:
-        raise ValueError(f"codebook format version {books.format_version} does not match "
-                         f"index format version 1")
     if books.bow.k != index.n_words or books.pq.m != index.m \
             or books.pq.n_centers != index.n_pq_centers:
         raise ValueError(

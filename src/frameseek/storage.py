@@ -21,7 +21,8 @@ from .geometry import FrameGeometry
 from .global_index import GlobalIndex
 from .local_index import DESCRIPTOR_DIM, POSTING_DTYPES, LocalIndex
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # every format but LIDX
+LOCAL_INDEX_VERSION = 2
 
 MAGIC_CODEBOOK = b"I2VC"
 MAGIC_LOCAL_DESC = b"LDSC"
@@ -37,7 +38,6 @@ _KIND_BINARY = 5
 
 GLOBAL_FEATURE_DIM = 384
 LOCAL_ROW_WIDTH = 4 + DESCRIPTOR_DIM  # x, y, theta, log_scale, descriptor
-LOCAL_ROW_BYTES = 4 * LOCAL_ROW_WIDTH
 _U32_MAX = 2 ** 32 - 1
 
 
@@ -78,14 +78,10 @@ class _Reader:
     def f32(self) -> float:
         return struct.unpack("<f", self.take(4))[0]
 
-    def f32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
-
-    def u32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<u4").copy()
-
-    def u8_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count), dtype=np.uint8).copy()
+    def array(self, dtype, count: int) -> np.ndarray:
+        """The next `count` items of `dtype`, copied out of the file bytes."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dtype.itemsize), dtype=dtype).copy()
 
     def done(self) -> bool:
         return self.pos >= len(self.buf)
@@ -96,7 +92,7 @@ class _Reader:
                                   "after the last block")
 
 
-def _open_checked(path: str | Path, magic: bytes) -> _Reader:
+def _open_checked(path: str | Path, magic: bytes, expect: int = FORMAT_VERSION) -> _Reader:
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -107,9 +103,9 @@ def _open_checked(path: str | Path, magic: bytes) -> _Reader:
     if got != magic:
         raise FileFormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
     version = r.u16()
-    if version != FORMAT_VERSION:
+    if version != expect:
         raise FileFormatError(f"{path}: file format version {version}, "
-                              f"this build reads version {FORMAT_VERSION}")
+                              f"this build reads version {expect}")
     return r
 
 
@@ -163,26 +159,29 @@ def read_codebooks(path: str | Path) -> CodebookSet:
         kind = r.u8()
         if kind == _KIND_KMEANS:
             k, d = r.u32(), r.u32()
-            parts[kind] = KMeansModel(centers=r.f32_array(k * d).reshape(k, d))
+            parts[kind] = KMeansModel(centers=r.array("<f4", k * d).reshape(k, d))
         elif kind == _KIND_PQ:
             m, n_centers, sub_dim = r.u32(), r.u32(), r.u32()
-            subs = [KMeansModel(centers=r.f32_array(n_centers * sub_dim).reshape(n_centers, sub_dim))
+            if not 2 <= n_centers <= 256:  # the range pq_train enforces: codes fit one byte
+                raise FileFormatError(f"{r.path}: PQ block has {n_centers} centers per "
+                                      "subspace, outside [2, 256]")
+            subs = [KMeansModel(centers=r.array("<f4", n_centers * sub_dim).reshape(n_centers, sub_dim))
                     for _ in range(m)]
-            max_dist = r.f32_array(m).astype(np.float64)
+            max_dist = r.array("<f4", m).astype(np.float64)
             parts[kind] = PQModel(sub_models=subs, max_dist=max_dist)
         elif kind == _KIND_PCA:
             d_in, d_out = r.u32(), r.u32()
-            mean = r.f32_array(d_in)
-            basis = r.f32_array(d_out * d_in).reshape(d_out, d_in)
+            mean = r.array("<f4", d_in)
+            basis = r.array("<f4", d_out * d_in).reshape(d_out, d_in)
             parts[kind] = PCAModel(mean=mean, basis=basis)
         elif kind == _KIND_GMM:
             k, d = r.u32(), r.u32()
-            parts[kind] = GMMModel(weights=r.f32_array(k).astype(np.float64),
-                                   means=r.f32_array(k * d).reshape(k, d).astype(np.float64),
-                                   variances=r.f32_array(k * d).reshape(k, d).astype(np.float64))
+            parts[kind] = GMMModel(weights=r.array("<f4", k).astype(np.float64),
+                                   means=r.array("<f4", k * d).reshape(k, d).astype(np.float64),
+                                   variances=r.array("<f4", k * d).reshape(k, d).astype(np.float64))
         elif kind == _KIND_BINARY:
             k, n_bits = r.u32(), r.u32()
-            centers = r.u8_array(k * packed_length(n_bits)).reshape(k, packed_length(n_bits))
+            centers = r.array(np.uint8, k * packed_length(n_bits)).reshape(k, packed_length(n_bits))
             parts[kind] = BinaryCenters(centers=centers, n_bits=n_bits)
         else:
             raise FileFormatError(f"{r.path}: unknown model kind tag {kind}")
@@ -191,17 +190,52 @@ def read_codebooks(path: str | Path) -> CodebookSet:
         raise FileFormatError(f"{r.path}: missing model blocks {sorted(missing)}")
     r.expect_end()
     return CodebookSet(bow=parts[_KIND_KMEANS], pq=parts[_KIND_PQ], pca=parts[_KIND_PCA],
-                       gmm=parts[_KIND_GMM], binary_centers=parts[_KIND_BINARY],
-                       format_version=FORMAT_VERSION)
+                       gmm=parts[_KIND_GMM], binary_centers=parts[_KIND_BINARY])
 
 
-# --- local descriptor files (LDSC, binary + text variant) ---------------
+# --- descriptor files (LDSC, GDSC): one frame-block codec ----------------
 
 def _frame_header(frame_id: int, video_id: int, count: int) -> bytes:
     for name, value in (("frame", frame_id), ("video", video_id)):
         if not 0 <= value <= _U32_MAX:
             raise ValueError(f"{name} id {value} outside [0, 2^32)")
     return struct.pack("<III", frame_id, video_id, count)
+
+
+def _write_frame_blocks(frames, path: str | Path, magic: bytes, width: int,
+                        shape_error: str) -> None:
+    """Write one block per frame: (frame_id, video_id, n), then n float32
+    rows of `width` values. `shape_error` words the rejection of a frame
+    whose rows are not (n, width); it may name {frame}, {shape} and {width}.
+
+    Raises:
+        ValueError: a frame or video id outside [0, 2^32).
+    """
+    out = io.BytesIO()
+    out.write(magic)
+    out.write(struct.pack("<H", FORMAT_VERSION))
+    for frame_id, video_id, rows in frames:
+        rows = np.asarray(rows)
+        if rows.shape[1:] != (width,):
+            raise FileFormatError(f"{path}: " + shape_error.format(
+                frame=frame_id, shape=rows.shape, width=width))
+        out.write(_frame_header(frame_id, video_id, rows.shape[0]))
+        out.write(_f32_bytes(rows))
+    Path(path).write_bytes(out.getvalue())
+
+
+def _read_frame_blocks(path: str | Path, magic: bytes,
+                       width: int) -> list[tuple[int, int, np.ndarray]]:
+    """(frame_id, video_id, rows) per block in file order; rows is an
+    (n, width) float32 read-only view of the file's bytes."""
+    r = _open_checked(path, magic)
+    frames = []
+    while not r.done():
+        frame_id, video_id, n = struct.unpack("<III", r.take(12))
+        # take() checks n rows against the bytes left before anything is built
+        rows = np.frombuffer(r.take(4 * n * width), dtype="<f4").reshape(n, width)
+        frames.append((frame_id, video_id, rows))
+    return frames
 
 
 def write_local_descriptors(frames: list[tuple[int, int, np.ndarray]],
@@ -212,17 +246,8 @@ def write_local_descriptors(frames: list[tuple[int, int, np.ndarray]],
     Raises:
         ValueError: a frame or video id outside [0, 2^32).
     """
-    out = io.BytesIO()
-    out.write(MAGIC_LOCAL_DESC)
-    out.write(struct.pack("<H", FORMAT_VERSION))
-    for frame_id, video_id, rows in frames:
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != LOCAL_ROW_WIDTH:
-            raise FileFormatError(f"{path}: frame {frame_id} rows have shape {rows.shape}, "
-                                  f"expected (n, {LOCAL_ROW_WIDTH})")
-        out.write(_frame_header(frame_id, video_id, rows.shape[0]))
-        out.write(_f32_bytes(rows))
-    Path(path).write_bytes(out.getvalue())
+    _write_frame_blocks(frames, path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH,
+                        "frame {frame} rows have shape {shape}, expected (n, {width})")
 
 
 def _read_local_text(path: Path) -> list[tuple[int, int, np.ndarray]]:
@@ -269,54 +294,44 @@ def read_local_descriptors(path: str | Path) -> list[tuple[int, int, np.ndarray]
         raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
     if head != MAGIC_LOCAL_DESC:
         return _read_local_text(path)
-    r = _open_checked(path, MAGIC_LOCAL_DESC)
-    frames = []
-    while not r.done():
-        frame_id, video_id, n = struct.unpack("<III", r.take(12))
-        # take() checks n rows against the bytes left before anything is built
-        rows = np.frombuffer(r.take(n * LOCAL_ROW_BYTES), dtype="<f4").reshape(n, LOCAL_ROW_WIDTH)
-        frames.append((frame_id, video_id, rows))
-    return frames
+    return _read_frame_blocks(path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
 
-
-# --- global descriptor files (GDSC) -------------------------------------
 
 def write_global_features(frames: list[tuple[int, int, np.ndarray]],
                           path: str | Path) -> None:
-    """Write per-frame blocks of (frame_id, video_id, n x 384 features).
+    """Write per-frame blocks of (frame_id, video_id, n x 384 features); a
+    frame's features may be one 384-vector.
 
     Raises:
         ValueError: a frame or video id outside [0, 2^32).
     """
-    out = io.BytesIO()
-    out.write(MAGIC_GLOBAL_DESC)
-    out.write(struct.pack("<H", FORMAT_VERSION))
-    for frame_id, video_id, features in frames:
-        features = np.atleast_2d(np.asarray(features))
-        if features.shape[1] != GLOBAL_FEATURE_DIM:
-            raise FileFormatError(f"{path}: frame {frame_id} features have dimension "
-                                  f"{features.shape[1]}, expected {GLOBAL_FEATURE_DIM}")
-        out.write(_frame_header(frame_id, video_id, features.shape[0]))
-        out.write(_f32_bytes(features))
-    Path(path).write_bytes(out.getvalue())
+    _write_frame_blocks(((fid, vid, np.atleast_2d(feats)) for fid, vid, feats in frames),
+                        path, MAGIC_GLOBAL_DESC, GLOBAL_FEATURE_DIM,
+                        "frame {frame} features have dimension {shape[1]}, expected {width}")
 
 
 def read_global_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
-    r = _open_checked(path, MAGIC_GLOBAL_DESC)
-    frames = []
-    while not r.done():
-        frame_id, video_id, n = r.u32(), r.u32(), r.u32()
-        feats = r.f32_array(n * GLOBAL_FEATURE_DIM).reshape(n, GLOBAL_FEATURE_DIM)
-        frames.append((frame_id, video_id, feats))
-    return frames
+    """Read a GDSC file as (frame_id, video_id, features) triples in file
+    order; `features` is an (n, 384) float32 read-only view of the file's
+    bytes."""
+    return _read_frame_blocks(path, MAGIC_GLOBAL_DESC, GLOBAL_FEATURE_DIM)
 
 
 # --- local inverted index (LIDX) -----------------------------------------
 
+def _posting_layout(m: int):
+    """(column, little-endian dtype, items per posting) of each LIDX column."""
+    return [(name, np.dtype(dtype).newbyteorder("<"), m if name == "codes" else 1)
+            for name, dtype in POSTING_DTYPES.items()]
+
+
 def write_local_index(index: LocalIndex, path: str | Path) -> None:
+    """Write the header, frame table, stop bitmap, idf and doc_freq, one
+    posting count per word, then each posting column whole, as memory holds
+    it (codes subspace-major, (m, n_postings))."""
     out = io.BytesIO()
     out.write(MAGIC_LOCAL_INDEX)
-    out.write(struct.pack("<H", FORMAT_VERSION))
+    out.write(struct.pack("<H", LOCAL_INDEX_VERSION))
     out.write(struct.pack("<III", index.n_words, index.m, index.n_pq_centers))
     out.write(struct.pack("<f", index.prune_fraction))
     out.write(struct.pack("<I", index.n_frames))
@@ -327,16 +342,9 @@ def write_local_index(index: LocalIndex, path: str | Path) -> None:
     out.write(np.packbits(index.stop_mask.astype(np.uint8), bitorder="little").tobytes())
     out.write(_f32_bytes(index.idf))
     out.write(_u32_bytes(index.doc_freq))
-    offsets = index.word_offsets
-    words = np.flatnonzero(offsets[1:] > offsets[:-1])
-    out.write(struct.pack("<I", words.shape[0]))
-    columns = [np.ascontiguousarray(index.codes.T if name == "codes" else getattr(index, name),
-                                    dtype=np.dtype(dtype).newbyteorder("<"))
-               for name, dtype in POSTING_DTYPES.items()]  # codes as (n_postings, m) rows
-    for word, lo, hi in zip(words.tolist(), offsets[words].tolist(), offsets[words + 1].tolist()):
-        out.write(struct.pack("<II", word, hi - lo))
-        for column in columns:
-            out.write(column[lo:hi].tobytes())
+    out.write(_u32_bytes(np.diff(index.word_offsets)))
+    for name, dtype, _ in _posting_layout(index.m):
+        out.write(getattr(index, name).astype(dtype, copy=False).tobytes())
     Path(path).write_bytes(out.getvalue())
 
 
@@ -345,56 +353,37 @@ def read_local_index(path: str | Path) -> LocalIndex:
 
     Raises:
         FileFormatError: bad magic or version, truncation, trailing bytes, a
-            repeated frame id in the frame table, a word id at or above
-            n_words or not above the previous block's, or a posting whose
-            frame id is not in the frame table.
+            repeated frame id in the frame table, or a posting whose frame
+            id is not in the frame table.
     """
-    r = _open_checked(path, MAGIC_LOCAL_INDEX)
+    r = _open_checked(path, MAGIC_LOCAL_INDEX, LOCAL_INDEX_VERSION)
     n_words, m, n_pq = r.u32(), r.u32(), r.u32()
     prune_fraction = r.f32()
     n_frames = r.u32()
     width, height = r.f32(), r.f32()
-    frame_ids = r.u32_array(n_frames)
-    video_ids = r.u32_array(n_frames)
+    frame_ids = r.array("<u4", n_frames)
+    video_ids = r.array("<u4", n_frames)
     table_ids = np.unique(frame_ids)
     if table_ids.shape[0] != n_frames:
         raise FileFormatError(f"{r.path}: repeated frame id in the frame table")
-    mask_bytes = r.u8_array(packed_length(n_words))
+    mask_bytes = r.array(np.uint8, packed_length(n_words))
     stop_mask = np.unpackbits(mask_bytes, bitorder="little")[:n_words].astype(bool)
-    idf = r.f32_array(n_words)
-    doc_freq = r.u32_array(n_words)
-    n_blocks = r.u32()
-    # each block: (word, count), then count rows of each column, codes as (count, m)
-    layout = [(name, np.dtype(dtype).newbyteorder("<"), m if name == "codes" else 1)
-              for name, dtype in POSTING_DTYPES.items()]
-    row_bytes = sum(dtype.itemsize * per_row for _, dtype, per_row in layout)
-    counts = np.zeros(n_words, dtype=np.int64)
-    parts = {name: [np.empty(0, dtype)] for name, dtype, _ in layout}
-    last = -1
-    for _ in range(n_blocks):
-        word, count = struct.unpack("<II", r.take(8))
-        if word >= n_words:
-            raise FileFormatError(f"{r.path}: word {word} outside [0, {n_words})")
-        if word <= last:
-            raise FileFormatError(f"{r.path}: word {word} "
-                                  f"{'repeated' if word == last else 'out of ascending order'}")
-        last, counts[word] = word, count
-        # take() checks the block against the bytes left before any copy
-        block, at = r.take(count * row_bytes), 0
-        for name, dtype, per_row in layout:
-            size = count * per_row * dtype.itemsize
-            parts[name].append(np.frombuffer(block[at:at + size], dtype=dtype))
-            at += size
+    idf = r.array("<f4", n_words)
+    doc_freq = r.array("<u4", n_words)
+    word_offsets = np.zeros(n_words + 1, dtype=np.int64)
+    np.cumsum(r.array("<u4", n_words), dtype=np.int64, out=word_offsets[1:])
+    n_postings = int(word_offsets[-1])
+    # every column is taken, so checked against the bytes left, before any is copied
+    views = {name: (r.take(n_postings * per_posting * dtype.itemsize), dtype)
+             for name, dtype, per_posting in _posting_layout(m)}
     r.expect_end()
-    columns = {name: np.concatenate(parts[name]).astype(dtype, copy=False)
-               for name, dtype in POSTING_DTYPES.items()}
-    columns["codes"] = np.ascontiguousarray(columns["codes"].reshape(int(counts.sum()), m).T)
+    columns = {name: np.frombuffer(view, dtype).astype(POSTING_DTYPES[name])
+               for name, (view, dtype) in views.items()}
+    columns["codes"] = columns["codes"].reshape(m, n_postings)
     unknown = columns["frame"][~np.isin(columns["frame"], table_ids)]
     if unknown.size:
         raise FileFormatError(f"{r.path}: posting frame id {unknown[0]} is not in the "
                               "frame table")
-    word_offsets = np.zeros(n_words + 1, dtype=np.int64)
-    np.cumsum(counts, out=word_offsets[1:])
     return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq,
                       prune_fraction=float(prune_fraction),
                       geometry=FrameGeometry(width=float(width), height=float(height)),
@@ -424,15 +413,15 @@ def read_global_index(path: str | Path) -> GlobalIndex:
     r = _open_checked(path, MAGIC_GLOBAL_INDEX)
     n_bits, n_gmm, n_centers = r.u32(), r.u32(), r.u32()
     width = packed_length(n_bits)
-    centers = BinaryCenters(centers=r.u8_array(n_centers * width).reshape(n_centers, width),
+    centers = BinaryCenters(centers=r.array(np.uint8, n_centers * width).reshape(n_centers, width),
                             n_bits=n_bits)
     clusters = []
     for _ in range(n_centers):
         count = r.u32()
         clusters.append({
-            "frame": r.u32_array(count),
-            "video": r.u32_array(count),
-            "codes": r.u8_array(count * width).reshape(count, width),
+            "frame": r.array("<u4", count),
+            "video": r.array("<u4", count),
+            "codes": r.array(np.uint8, count * width).reshape(count, width),
         })
     r.expect_end()
     return GlobalIndex(n_bits=n_bits, n_gmm_components=n_gmm, centers=centers,

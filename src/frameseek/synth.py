@@ -128,7 +128,14 @@ def transform_records(records: list[LocalRecord], frame_id: int, video_id: int,
 
 
 def generate(spec: SynthSpec) -> SynthCorpus:
-    """Deterministically build a corpus and its planted queries."""
+    """Deterministically build a corpus and its planted queries.
+
+    Raises:
+        ValueError: more queries than videos.
+    """
+    if spec.n_queries > spec.n_videos:
+        raise ValueError(f"{spec.n_queries} queries exceed {spec.n_videos} videos; "
+                         "each query copies a frame of its own video")
     rng = np.random.default_rng(spec.seed)
     vocab = rng.normal(0.0, 1.0, size=(spec.vocab_size, DESCRIPTOR_DIM))
     video_protos = rng.normal(0.0, 1.0, size=(spec.n_videos, GLOBAL_FEATURE_DIM))
@@ -149,8 +156,7 @@ def generate(spec: SynthSpec) -> SynthCorpus:
             frame_lookup[frame_id] = (video, records, feats)
             frame_id += 1
 
-    n_queries = min(spec.n_queries, spec.n_videos)
-    source_videos = rng.choice(spec.n_videos, size=n_queries, replace=False)
+    source_videos = rng.choice(spec.n_videos, size=spec.n_queries, replace=False)
     query_local = []
     query_global = []
     ground_truth: dict[int, set[int]] = {}

@@ -114,11 +114,13 @@ def build_local_index_oracle(postings, frame_to_video, n_words, m, n_pq_centers,
 
 
 def write_local_index_oracle(index, lists, path):
-    """LIDX bytes written one inverted list at a time: the header fields of
-    `index`, then one block per word of `lists` in ascending word order."""
+    """LIDX v2 bytes written from the per-word lists: the header fields of
+    `index`, each word's count from its list's length, then each column as
+    the lists' values end to end in ascending word order (codes one
+    subspace at a time)."""
     out = io.BytesIO()
     out.write(b"LIDX")
-    out.write(struct.pack("<H", 1))
+    out.write(struct.pack("<H", 2))
     out.write(struct.pack("<III", index.n_words, index.m, index.n_pq_centers))
     out.write(struct.pack("<f", index.prune_fraction))
     out.write(struct.pack("<I", index.n_frames))
@@ -129,16 +131,16 @@ def write_local_index_oracle(index, lists, path):
     out.write(np.packbits(index.stop_mask.astype(np.uint8), bitorder="little").tobytes())
     out.write(index.idf.astype("<f4").tobytes())
     out.write(index.doc_freq.astype("<u4").tobytes())
-    out.write(struct.pack("<I", len(lists)))
-    for word in sorted(lists):
-        arrs = lists[word]
-        out.write(struct.pack("<II", word, arrs["frame"].shape[0]))
-        out.write(np.ascontiguousarray(arrs["codes"], dtype=np.uint8).tobytes())
-        out.write(np.ascontiguousarray(arrs["qx"], dtype="<u2").tobytes())
-        out.write(np.ascontiguousarray(arrs["qy"], dtype="<u2").tobytes())
-        out.write(np.ascontiguousarray(arrs["qtheta"], dtype=np.uint8).tobytes())
-        out.write(np.ascontiguousarray(arrs["qscale"], dtype=np.uint8).tobytes())
-        out.write(np.ascontiguousarray(arrs["frame"], dtype="<u4").tobytes())
+    for word in range(index.n_words):
+        out.write(struct.pack("<I", lists[word]["frame"].shape[0] if word in lists else 0))
+    words = sorted(lists)
+    for j in range(index.m):
+        for word in words:
+            out.write(np.ascontiguousarray(lists[word]["codes"][:, j], dtype=np.uint8).tobytes())
+    for name, dtype in (("qx", "<u2"), ("qy", "<u2"), ("qtheta", np.uint8),
+                        ("qscale", np.uint8), ("frame", "<u4")):
+        for word in words:
+            out.write(np.ascontiguousarray(lists[word][name], dtype=dtype).tobytes())
     Path(path).write_bytes(out.getvalue())
 
 

@@ -123,6 +123,14 @@ def test_empty_features_dir_errors(tmp_path, capsys):
     assert "no input files" in capsys.readouterr().err
 
 
+def test_synth_more_queries_than_videos_clean_error(tmp_path, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "c"), "--videos", "5", "--queries", "9"])
+    assert rc != 0
+    assert capsys.readouterr().err == ("error=9 queries exceed 5 videos; "
+                                       "each query copies a frame of its own video\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_corrupt_input_names_path(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ldsc"
     bad.write_bytes(b"LDSCxxxx-corrupt")

@@ -63,15 +63,6 @@ def test_compatibility_error_names_both_parameter_sets(trained):
         check_compatible_global(books, global_index)
 
 
-def test_compatibility_checks_format_version(trained):
-    paths, config, books = trained
-    local_index = build_local_index_from_files([paths["ref_local"]], books, config)
-    books.format_version = 2
-    with pytest.raises(ValueError, match="version 2.*version 1"):
-        check_compatible_local(books, local_index)
-    books.format_version = 1
-
-
 def test_index_build_independent_of_thread_count(trained):
     paths, config, books = trained
     one = build_local_index_from_files([paths["ref_local"]], books,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frameseek import (CodebookSet, FrameGeometry, LocalRecord,
+from frameseek import (CodebookSet, FrameGeometry, KMeansModel, LocalRecord, PQModel,
                        binary_centers_train, build_global_index,
                        build_local_index, encode_frame_local, gmm_train,
                        make_signature, pca_fit, pq_train, records_to_rows)
@@ -86,6 +86,20 @@ def test_codebooks_version_mismatch_names_both(tmp_path, books):
     data[4:6] = struct.pack("<H", 9)
     p.write_bytes(bytes(data))
     with pytest.raises(FileFormatError, match="version 9.*version 1"):
+        read_codebooks(p)
+
+
+def test_codebooks_more_than_256_pq_centers_rejected(tmp_path, books):
+    gen = np.random.default_rng(119)
+    sub_dim = books.pq.sub_models[0].centers.shape[1]
+    pq = PQModel(sub_models=[KMeansModel(centers=gen.normal(size=(300, sub_dim)))
+                             for _ in range(books.pq.m)],
+                 max_dist=np.ones(books.pq.m))
+    p = tmp_path / "wide.i2vc"
+    write_codebooks(CodebookSet(bow=books.bow, pq=pq, pca=books.pca, gmm=books.gmm,
+                                binary_centers=books.binary_centers), p)
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(p))}: PQ block has 300 centers "
+                                              r"per subspace, outside \[2, 256\]"):
         read_codebooks(p)
 
 
@@ -236,6 +250,16 @@ def test_global_features_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded[3][2], frames[3][2])
 
 
+def test_descriptor_frames_read_back_read_only(tmp_path):
+    ldsc, _ = small_ldsc(tmp_path)
+    gdsc, _ = small_gdsc(tmp_path)
+    for read, path in ((read_local_descriptors, ldsc), (read_global_features, gdsc)):
+        frames = read(path)
+        assert frames and all(not rows.flags.writeable for _, _, rows in frames)
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0][2][0, 0] = 1.0
+
+
 def test_global_features_dimension_enforced(tmp_path):
     with pytest.raises(FileFormatError, match="expected 384"):
         write_global_features([(0, 0, np.zeros((2, 100), dtype=np.float32))],
@@ -339,16 +363,16 @@ def test_local_index_roundtrip_and_rebuild_identical(small_bow, small_pq, tmp_pa
     assert loaded.codes.flags.c_contiguous
 
 
-def lidx_blocks(index):
-    """Byte offset of each posting block's (word, count) header in the
-    index's LIDX file, and the offset of the block count before them."""
-    pos = (4 + 2 + 12 + 4 + 4 + 8 + 8 * index.n_frames + packed_length(index.n_words)
-           + 8 * index.n_words)
-    count_at, pos, starts = pos, pos + 4, []
-    for arrs in index.postings.values():
-        starts.append(pos)
-        pos += 8 + arrs["frame"].shape[0] * (index.m + 10)
-    return count_at, starts
+def lidx_columns(index):
+    """Byte offset of the per-word posting counts in the index's LIDX file,
+    and the offset of each posting column after them."""
+    counts_at = (4 + 2 + 12 + 4 + 4 + 8 + 8 * index.n_frames + packed_length(index.n_words)
+                 + 8 * index.n_words)
+    pos, starts = counts_at + 4 * index.n_words, {}
+    for name, dtype in POSTING_DTYPES.items():
+        starts[name] = pos
+        pos += index.n_postings() * np.dtype(dtype).itemsize * (index.m if name == "codes" else 1)
+    return counts_at, starts
 
 
 @pytest.fixture
@@ -374,25 +398,17 @@ def patched(path, data, at, fmt, *values):
     return path
 
 
-@pytest.mark.parametrize("case", ["outside", "repeated", "descending"])
-def test_local_index_bad_word_id_rejected(small_lidx, case):
-    path, data, index = small_lidx
-    _, (first, second, *_) = lidx_blocks(index)
-    words = list(index.postings)
-    at, word, message = {
-        "outside": (first, index.n_words, rf"word {index.n_words} outside \[0, "),
-        "repeated": (second, words[0], f"word {words[0]} repeated"),
-        "descending": (first, words[1] + 1, f"word {words[1]} out of ascending order"),
-    }[case]
-    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: {message}"):
-        read_local_index(patched(path, data, at, "<I", word))
+def test_local_index_version_1_rejected(small_lidx):
+    path, data, _ = small_lidx
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: file format version 1, "
+                                              "this build reads version 2$"):
+        read_local_index(patched(path, data, 4, "<H", 1))
 
 
 def test_local_index_posting_frame_outside_frame_table_rejected(small_lidx):
     path, data, index = small_lidx
-    _, (first, *_) = lidx_blocks(index)
-    count = index.postings[next(iter(index.postings))]["frame"].shape[0]
-    last_frame = first + 8 + count * (index.m + 6) + 4 * (count - 1)
+    _, starts = lidx_columns(index)
+    last_frame = starts["frame"] + 4 * (index.n_postings() - 1)
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: posting frame id 1000 is not in "):
         read_local_index(patched(path, data, last_frame, "<I", 1000))
 
@@ -406,10 +422,14 @@ def test_local_index_repeated_frame_table_id_rejected(small_lidx):
 
 @pytest.mark.parametrize("where", ["blocks", "postings"])
 def test_local_index_huge_count_rejected_before_allocation(small_lidx, where):
+    """'postings': one word's posting count is 2^32 - 1. 'blocks': the counts
+    add up to one posting more than the column blocks hold."""
     path, data, index = small_lidx
-    count_at, (first, *_) = lidx_blocks(index)
-    at = count_at if where == "blocks" else first + 4
-    patched(path, data, at, "<I", 2 ** 32 - 1)
+    counts_at, _ = lidx_columns(index)
+    counts = np.diff(index.word_offsets)
+    word = int(np.flatnonzero(counts)[0])
+    count = 2 ** 32 - 1 if where == "postings" else int(counts[word]) + 1
+    patched(path, data, counts_at + 4 * word, "<I", count)
     tracemalloc.start()
     try:
         with pytest.raises(FileFormatError, match="truncated"):

@@ -17,6 +17,11 @@ def test_fixed_seed_reproduces_corpus_bytes(tmp_path):
         assert p1[role].read_bytes() == p2[role].read_bytes()
 
 
+def test_more_queries_than_videos_rejected():
+    with pytest.raises(ValueError, match="9 queries exceed 5 videos"):
+        generate(SynthSpec(n_videos=5, n_queries=9))
+
+
 def test_corpus_shape_and_ground_truth():
     spec = SynthSpec(n_videos=8, frames_per_video=3, n_queries=4,
                      keypoints_per_frame=10, dense_per_frame=5, seed=1)
