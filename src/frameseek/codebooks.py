@@ -18,6 +18,12 @@ VARIANCE_FLOOR = 1e-6
 # Rows per block in nearest-center assignment: the (rows, k) float64 distance
 # block, not an (n, k) matrix, bounds its memory.
 ASSIGN_BLOCK_ROWS = 1024
+# Slack of the k-means++ distance screen, relative to |x|^2 + |y|^2. A float64
+# dot product of length d errs by at most about d * 2^-53 * sum_k |x_k y_k|,
+# in any summation order, so the screened and the exact squared distance
+# each err by at most about 2 (d + 3) * 2^-53 * (|x|^2 + |y|^2); 1e-9 covers
+# both for d up to about 10^6.
+SCREEN_TOL = 1e-9
 
 
 @dataclass
@@ -187,28 +193,43 @@ def _nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarra
     return assign, nearest
 
 
-def _plusplus_seeds(n: int, k: int, rng: np.random.Generator, distances_to) -> np.ndarray:
+def _plusplus_seeds(n: int, k: int, rng: np.random.Generator, lower_closest) -> np.ndarray:
     """Indices of k distance-weighted random seeds among n rows: each draw
     has probability proportional to the squared distance to the nearest
-    seed already chosen. distances_to(i) gives the squared distances from
-    every row to row i."""
+    seed already chosen. lower_closest(i, closest) lowers each entry of
+    closest, in place, to that row's squared distance to row i where that
+    is smaller; the first call gets closest all infinite.
+
+    Raises:
+        ValueError: a squared distance is not finite.
+    """
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    closest = distances_to(chosen[0])
+    closest = np.full(n, np.inf)
+    lower_closest(chosen[0], closest)
     for j in range(1, k):
         total = closest.sum()
+        if not np.isfinite(total):
+            raise ValueError("squared distances between samples must be finite")
         if total > 0:
-            chosen[j] = rng.choice(n, p=closest / total)
+            # the steps of rng.choice(n, p=closest / total), which draw the
+            # same row from the same random stream, without its checks of p
+            cdf = (closest / total).cumsum()
+            cdf /= cdf[-1]
+            chosen[j] = cdf.searchsorted(rng.random(), side="right")
         else:  # unreachable when the caller guarantees k distinct rows
             chosen[j] = rng.integers(n)
-        np.minimum(closest, distances_to(chosen[j]), out=closest)
+        lower_closest(chosen[j], closest)
     return chosen
 
 
 def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> KMeansModel:
     """Lloyd's k-means with distance-weighted seeding.
 
-    Empty clusters are re-seeded from the points farthest from their nearest
+    Seeding screens every row with one matrix-vector product per draw and
+    recomputes exactly only the rows the screen cannot rule out (see
+    SCREEN_TOL), so the seeds are those that exact distances draw. Empty
+    clusters are re-seeded from the points farthest from their nearest
     center. The recorded objective (sum of squared distances to the nearest
     center) is non-increasing across iterations.
 
@@ -223,19 +244,32 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
     if np.unique(samples, axis=0).shape[0] < k:
         raise ValueError("insufficient samples: need at least k distinct rows")
 
-    def squared_distances_to(i):
-        diff = samples - samples[i]
-        return np.einsum("ij,ij->i", diff, diff)
+    rows = np.ascontiguousarray(samples)
+    sq = np.einsum("ij,ij->i", rows, rows)
+
+    def lower_closest(i, closest):
+        # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y screens every row; a row whose
+        # screened distance exceeds closest by more than the rounding bound
+        # cannot lower it, and the others get the exact distance
+        norms = sq + sq[i]
+        screened = norms - 2.0 * (rows @ rows[i])
+        near = np.flatnonzero(screened <= closest + SCREEN_TOL * norms)
+        diff = rows[near]
+        diff -= rows[i]
+        closest[near] = np.minimum(closest[near], np.einsum("ij,ij->i", diff, diff))
 
     rng = np.random.default_rng(seed)
-    centers = samples[_plusplus_seeds(samples.shape[0], k, rng, squared_distances_to)]
+    centers = samples[_plusplus_seeds(samples.shape[0], k, rng, lower_closest)]
+    columns = samples.T.copy()
     trace = []
     for _ in range(max(1, iters)):
         assign, nearest = _nearest_centers(samples, centers)
         trace.append(float(nearest.sum()))
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, samples)
+        # bincount adds each center's rows in row order, as np.add.at does,
+        # so the sums are the same bits
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns],
+                        axis=1)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         empties = np.flatnonzero(~nonempty)
@@ -453,7 +487,9 @@ def binary_centers_train(codes: np.ndarray, n_bits: int, k: int = 32,
     # any pad bits past n_bits, which the distance must not count
     clean = pack_bits(bits)
     rng = np.random.default_rng(seed)
-    centers = bits[_plusplus_seeds(n, k, rng, lambda i: hamming_to_many(clean[i], clean))]
+    centers = bits[_plusplus_seeds(
+        n, k, rng, lambda i, closest: np.minimum(closest, hamming_to_many(clean[i], clean),
+                                                 out=closest))]
 
     trace = []
     for _ in range(max(1, iters)):

@@ -11,6 +11,7 @@ from frameseek import (FrameGeometry, GlobalIndex, HoughConfig, LocalIndex,
                        Matches, PQScoreTable, Postings, kmeans_train,
                        pq_train, probe_candidates, wrap_angle)
 from frameseek.bits import packed_length
+from frameseek.codebooks import _nearest_centers
 from frameseek.fusion import GLOBAL, RankedList, rank_videos
 from frameseek.geometry import dequantize_log_scale, dequantize_theta
 from frameseek.local_index import POSTING_DTYPES
@@ -255,7 +256,7 @@ def hough_verify_oracle(candidates, cfg=None, query_diagonal=None):
     }
 
 
-# --- broadcast GMM posteriors and float64 binary seeding, kept as oracles -----
+# --- broadcast GMM posteriors, float64 seeding and add.at k-means, kept as oracles
 
 def gmm_log_posteriors_oracle(model, x):
     """Mahalanobis terms from the full (n, k, d) difference array."""
@@ -286,6 +287,36 @@ def plusplus_seeds_oracle(samples, k, rng):
         diff = samples - seeds[j]
         np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
     return seeds
+
+
+def kmeans_train_oracle(samples, k, iters=25, seed=0):
+    """Lloyd's k-means as `kmeans_train` ran it before the seeding screen:
+    seeds from `plusplus_seeds_oracle` (a full difference pass and
+    `rng.choice` per draw) and centroid sums through `np.add.at`. Returns
+    (float32 centers, objective trace)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    centers = plusplus_seeds_oracle(samples, k, np.random.default_rng(seed))
+    trace = []
+    for _ in range(max(1, iters)):
+        assign, nearest = _nearest_centers(samples, centers)
+        trace.append(float(nearest.sum()))
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, samples)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        empties = np.flatnonzero(~nonempty)
+        if empties.size:
+            farthest = iter(np.argsort(-nearest, kind="stable"))
+            taken = set()
+            for slot in empties:
+                for point_idx in farthest:
+                    row = samples[point_idx].tobytes()
+                    if row not in taken:
+                        taken.add(row)
+                        centers[slot] = samples[point_idx]
+                        break
+    return centers.astype(np.float32), np.asarray(trace)
 
 
 # --- scalar twins of the batch operations, kept as oracles --------------------

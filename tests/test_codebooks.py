@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gmm_log_posteriors_oracle, plusplus_seeds_oracle
+from conftest import gmm_log_posteriors_oracle, kmeans_train_oracle, plusplus_seeds_oracle
 from frameseek import (BinaryCenters, GMMModel, KMeansModel,
                        binary_assign_batch, binary_centers_train, gmm_train,
                        kmeans_assign_batch, kmeans_train, pca_fit, pca_project,
@@ -90,6 +90,63 @@ def test_kmeans_assign_dimension_mismatch():
     model = KMeansModel(centers=np.eye(3, dtype=np.float32))
     with pytest.raises(ValueError, match="dimension mismatch"):
         kmeans_assign_batch(model, np.zeros((1, 5)))
+
+
+def kmeans_inputs(case):
+    gen = np.random.default_rng(31)
+    if case == "random":
+        return gen.normal(size=(400, 16))
+    if case == "duplicates":  # zero distances to the seed and between rows
+        return gen.normal(size=(40, 8))[gen.integers(0, 40, size=400)]
+    if case == "offset":  # |x|^2 + |y|^2 - 2 x.y cancels to nearly nothing
+        return 1e6 + gen.normal(size=(300, 12))
+    if case == "column_slice":  # as pq_train passes each subspace
+        return gen.normal(size=(300, 24))[:, 8:16]
+    distinct = gen.normal(size=(7, 5))  # "k_distinct": exactly k distinct rows
+    return distinct[np.arange(210) % 7]
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates", "offset", "column_slice",
+                                  "k_distinct"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_kmeans_train_equals_add_at_oracle(case, seed):
+    samples = kmeans_inputs(case)
+    k = 7 if case == "k_distinct" else 12
+    model = kmeans_train(samples, k, iters=6, seed=seed)
+    centers, trace = kmeans_train_oracle(samples, k, iters=6, seed=seed)
+    np.testing.assert_array_equal(model.centers, centers)
+    np.testing.assert_array_equal(model.objective_trace, trace)
+
+
+def test_kmeans_screen_lowers_closest_like_exact_distances(monkeypatch):
+    """The screened update of the nearest-seed distances equals np.minimum
+    with exact distances, even where the exact distance lies one ulp below
+    the current value and the expansion identity errs by far more."""
+    callbacks, seeds = [], codebooks._plusplus_seeds
+
+    def spy(n, k, rng, lower_closest):
+        callbacks.append(lower_closest)
+        return seeds(n, k, rng, lower_closest)
+
+    monkeypatch.setattr(codebooks, "_plusplus_seeds", spy)
+    samples = 1e6 + np.random.default_rng(32).normal(size=(300, 12))
+    kmeans_train(samples, 4, iters=1, seed=0)
+    for i in (0, 17, 299):
+        diff = samples - samples[i]
+        exact = np.einsum("ij,ij->i", diff, diff)
+        for start in (np.nextafter(exact, np.inf), exact, np.nextafter(exact, 0.0),
+                      np.full(300, np.inf)):
+            closest = start.copy()
+            callbacks[0](i, closest)
+            np.testing.assert_array_equal(closest, np.minimum(start, exact))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_non_finite_samples_rejected(bad):
+    samples = np.random.default_rng(8).normal(size=(30, 4))
+    samples[11, 2] = bad
+    with pytest.raises(ValueError):
+        kmeans_train(samples, 4, iters=2, seed=0)
 
 
 def test_kmeans_deterministic_given_seed():
@@ -368,7 +425,7 @@ def test_binary_assign_is_exhaustive_argmin():
 def float64_seeds(bits):
     """Stand-in for `_plusplus_seeds` that seeds with the float64 oracle on
     the unpacked bits and returns the first row equal to each seed."""
-    def seeds(n, k, rng, distances_to):
+    def seeds(n, k, rng, lower_closest):
         samples = bits.astype(np.float64)
         rows = plusplus_seeds_oracle(samples, k, rng)
         return np.array([np.flatnonzero((samples == row).all(axis=1))[0] for row in rows])
@@ -398,15 +455,15 @@ def test_plusplus_seeds_draw_like_float64_oracle(space):
         bits = gen.integers(0, 2, size=(200, 37)).astype(np.uint8)
         packed, samples = pack_bits(bits), bits.astype(np.float64)
 
-        def distances_to(i):
-            return hamming_to_many(packed[i], packed)
+        def lower_closest(i, closest):
+            np.minimum(closest, hamming_to_many(packed[i], packed), out=closest)
     else:
         samples = gen.normal(size=(200, 5))
 
-        def distances_to(i):
+        def lower_closest(i, closest):
             diff = samples - samples[i]
-            return np.einsum("ij,ij->i", diff, diff)
+            np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
     rng_seeds, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
-    chosen = codebooks._plusplus_seeds(200, 12, rng_seeds, distances_to)
+    chosen = codebooks._plusplus_seeds(200, 12, rng_seeds, lower_closest)
     np.testing.assert_array_equal(samples[chosen], plusplus_seeds_oracle(samples, 12, rng_oracle))
     assert rng_seeds.bit_generator.state == rng_oracle.bit_generator.state
