@@ -9,6 +9,7 @@ integer seed; ties everywhere break toward the lowest index.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,20 @@ class GMMModel:
         if np.any(self.variances < VARIANCE_FLOOR * (1.0 - 1e-9)):
             raise ValueError("variances below floor")
 
+    @cached_property
+    def log_density_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """-1 / (2 sigma^2) and mu / sigma^2, both (k, d), and the (k,) log
+        weight and normalizer of each component: what `gmm_log_posteriors`
+        needs besides the samples. Derived on first use and kept, so a
+        one-frame query does not pay for them; the parameters must not
+        change afterwards."""
+        neg_half_precision = -0.5 / self.variances
+        scaled_means = self.means / self.variances
+        offset = np.log(self.weights) - 0.5 * (
+            self.d * np.log(2.0 * np.pi)
+            + (np.log(self.variances) + self.means * scaled_means).sum(axis=1))
+        return neg_half_precision, scaled_means, offset
+
     @property
     def n_components(self) -> int:
         return self.means.shape[0]
@@ -201,7 +216,9 @@ def _plusplus_seeds(n: int, k: int, rng: np.random.Generator, lower_closest) -> 
     is smaller; the first call gets closest all infinite.
 
     Raises:
-        ValueError: a squared distance is not finite.
+        ValueError: a squared distance is not finite, or every row lies at
+            distance 0 from the seeds before k are drawn (fewer than k
+            distinct rows).
     """
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -211,14 +228,13 @@ def _plusplus_seeds(n: int, k: int, rng: np.random.Generator, lower_closest) -> 
         total = closest.sum()
         if not np.isfinite(total):
             raise ValueError("squared distances between samples must be finite")
-        if total > 0:
-            # the steps of rng.choice(n, p=closest / total), which draw the
-            # same row from the same random stream, without its checks of p
-            cdf = (closest / total).cumsum()
-            cdf /= cdf[-1]
-            chosen[j] = cdf.searchsorted(rng.random(), side="right")
-        else:  # unreachable when the caller guarantees k distinct rows
-            chosen[j] = rng.integers(n)
+        if total == 0:
+            raise ValueError("insufficient samples: need at least k distinct rows")
+        # the steps of rng.choice(n, p=closest / total), which draw the same
+        # row from the same random stream, without its checks of p
+        cdf = (closest / total).cumsum()
+        cdf /= cdf[-1]
+        chosen[j] = cdf.searchsorted(rng.random(), side="right")
         lower_closest(chosen[j], closest)
     return chosen
 
@@ -234,15 +250,14 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
     center) is non-increasing across iterations.
 
     Raises:
-        ValueError: fewer than k distinct sample rows.
+        ValueError: fewer than k distinct sample rows, as seeding finds
+            them: its draws stop at zero distance to every row.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("samples must be a non-empty 2-d matrix")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if np.unique(samples, axis=0).shape[0] < k:
-        raise ValueError("insufficient samples: need at least k distinct rows")
 
     rows = np.ascontiguousarray(samples)
     sq = np.einsum("ij,ij->i", rows, rows)
@@ -389,11 +404,7 @@ def gmm_log_posteriors(model: GMMModel, x: np.ndarray) -> tuple[np.ndarray, np.n
         (log_gamma, log_lik) with shapes (n, k) and (n,).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    neg_half_precision = -0.5 / model.variances  # (k, d)
-    scaled_means = model.means / model.variances
-    offset = np.log(model.weights) - 0.5 * (
-        model.d * np.log(2.0 * np.pi)
-        + (np.log(model.variances) + model.means * scaled_means).sum(axis=1))
+    neg_half_precision, scaled_means, offset = model.log_density_terms
 
     def log_joint(block):
         return (block * block) @ neg_half_precision.T + block @ scaled_means.T + offset

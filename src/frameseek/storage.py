@@ -37,6 +37,9 @@ _KIND_GMM = 4
 _KIND_BINARY = 5
 
 GLOBAL_FEATURE_DIM = 384
+# Words per test of a descriptor file for NaN and inf: bounds the test's
+# boolean temporary to 1 MiB.
+FINITE_TEST_WORDS = 1 << 20
 LOCAL_ROW_WIDTH = 4 + DESCRIPTOR_DIM  # x, y, theta, log_scale, descriptor
 _U32_MAX = 2 ** 32 - 1
 
@@ -224,10 +227,25 @@ def _write_frame_blocks(frames, path: str | Path, magic: bytes, width: int,
     Path(path).write_bytes(out.getvalue())
 
 
+def _finite_rows(path, frame_id: int, rows: np.ndarray) -> np.ndarray:
+    """rows, once one test has found every value finite.
+
+    Raises:
+        FileFormatError: a NaN or infinite value, naming the file and frame.
+    """
+    if not np.isfinite(rows).all():
+        raise FileFormatError(f"{path}: frame {frame_id} holds a non-finite value")
+    return rows
+
+
 def _read_frame_blocks(path: str | Path, magic: bytes,
                        width: int) -> list[tuple[int, int, np.ndarray]]:
     """(frame_id, video_id, rows) per block in file order; rows is an
-    (n, width) float32 read-only view of the file's bytes."""
+    (n, width) float32 read-only view of the file's bytes.
+
+    Raises:
+        FileFormatError: a structural fault, or a non-finite value.
+    """
     r = _open_checked(path, magic)
     frames = []
     while not r.done():
@@ -235,6 +253,14 @@ def _read_frame_blocks(path: str | Path, magic: bytes,
         # take() checks n rows against the bytes left before anything is built
         rows = np.frombuffer(r.take(4 * n * width), dtype="<f4").reshape(n, width)
         frames.append((frame_id, video_id, rows))
+    # every header field and value is a 4-byte word from byte 6 on, so a few
+    # tests over all words replace one per frame; a header word that reads
+    # as NaN or inf is a large id, so the frames are tested one by one then
+    words = np.frombuffer(r.buf, dtype="<f4", offset=6)
+    if not all(np.isfinite(words[lo:lo + FINITE_TEST_WORDS]).all()
+               for lo in range(0, words.size, FINITE_TEST_WORDS)):
+        for frame_id, _, rows in frames:
+            _finite_rows(r.path, frame_id, rows)
     return frames
 
 
@@ -276,7 +302,10 @@ def _read_local_text(path: Path) -> list[tuple[int, int, np.ndarray]]:
             raise FileFormatError(f"{path}:{lineno}: frame {frame_id} has video ids "
                                   f"{first_video} and {video_id}")
         rows.append(row)
-    return [(fid, vid, np.array(rows, dtype=np.float32)) for fid, (vid, rows) in frames.items()]
+    # text that overflows float32 becomes inf here, which the test rejects
+    with np.errstate(over="ignore"):
+        return [(fid, vid, _finite_rows(path, fid, np.array(rows, dtype=np.float32)))
+                for fid, (vid, rows) in frames.items()]
 
 
 def read_local_descriptors(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
@@ -285,6 +314,10 @@ def read_local_descriptors(path: str | Path) -> list[tuple[int, int, np.ndarray]
     (n, 132) float32 block [x, y, theta, log_scale, d0..d127]; in the binary
     variant it is a read-only view of the file's bytes. In the text variant
     the lines of one frame id form one frame.
+
+    Raises:
+        FileFormatError: a malformed file, or a value that is not finite
+            as float32.
     """
     path = Path(path)
     try:
@@ -313,7 +346,11 @@ def write_global_features(frames: list[tuple[int, int, np.ndarray]],
 def read_global_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
     """Read a GDSC file as (frame_id, video_id, features) triples in file
     order; `features` is an (n, 384) float32 read-only view of the file's
-    bytes."""
+    bytes.
+
+    Raises:
+        FileFormatError: a malformed file, or a non-finite value.
+    """
     return _read_frame_blocks(path, MAGIC_GLOBAL_DESC, GLOBAL_FEATURE_DIM)
 
 

@@ -9,9 +9,10 @@ import pytest
 
 from frameseek import (FrameGeometry, GlobalIndex, HoughConfig, LocalIndex,
                        Matches, PQScoreTable, Postings, kmeans_train,
-                       pq_train, probe_candidates, wrap_angle)
+                       make_signature, pca_project, pq_train, probe_candidates,
+                       wrap_angle)
 from frameseek.bits import packed_length
-from frameseek.codebooks import _nearest_centers
+from frameseek.codebooks import _nearest_centers, gmm_log_posteriors
 from frameseek.fusion import GLOBAL, RankedList, rank_videos
 from frameseek.geometry import dequantize_log_scale, dequantize_theta
 from frameseek.local_index import POSTING_DTYPES
@@ -256,7 +257,8 @@ def hough_verify_oracle(candidates, cfg=None, query_diagonal=None):
     }
 
 
-# --- broadcast GMM posteriors, float64 seeding and add.at k-means, kept as oracles
+# --- broadcast GMM posteriors, per-frame Fisher signatures, float64 seeding and
+# add.at k-means, kept as oracles
 
 def gmm_log_posteriors_oracle(model, x):
     """Mahalanobis terms from the full (n, k, d) difference array."""
@@ -269,6 +271,26 @@ def gmm_log_posteriors_oracle(model, x):
     peak = joint.max(axis=1, keepdims=True)
     log_lik = peak[:, 0] + np.log(np.exp(joint - peak).sum(axis=1))
     return joint - log_lik[:, None], log_lik
+
+
+def fisher_vector_oracle(features, gmm):
+    """One frame's first-order Fisher vector from one (k, n) @ (n, d)
+    product, as the engine pooled each frame alone."""
+    features = np.asarray(features, dtype=np.float64)
+    gamma = np.exp(gmm_log_posteriors(gmm, features)[0])
+    weighted_sum = gamma.T @ features
+    totals = gamma.sum(axis=0)
+    grads = (weighted_sum - totals[:, None] * gmm.means) / np.sqrt(gmm.variances)
+    grads /= (features.shape[0] * np.sqrt(gmm.weights))[:, None]
+    return grads.reshape(-1)
+
+
+def signature_codes_oracle(frames, pca, gmm):
+    """Packed signature of each frame, projected, pooled and binarized one
+    frame at a time."""
+    return np.stack([make_signature(fid, vid, fisher_vector_oracle(pca_project(pca, feats),
+                                                                   gmm)).bits
+                     for fid, vid, feats in frames])
 
 
 def plusplus_seeds_oracle(samples, k, rng):

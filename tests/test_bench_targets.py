@@ -12,8 +12,10 @@ import pytest
 
 from frameseek import (BinaryCenters, EngineConfig, build_global_index,
                        build_local_index, encode_frame_local,
-                       encode_query_local, make_signature)
+                       encode_query_local, make_signature, pipeline)
 from frameseek.bits import pack_bits
+from frameseek.storage import write_codebooks, write_global_index
+from frameseek.synth import SynthSpec, generate, write_corpus
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -86,3 +88,40 @@ def test_local_results_read_by_the_benchmark(small_bow, small_pq):
         index.postings = {}
     with pytest.raises(TypeError):
         index.postings[0] = {}
+
+
+def test_traced_signature_pass_records_time_and_same_outputs(tmp_path):
+    tracing = load_bench_module("tracing")
+    paths = write_corpus(generate(SynthSpec(n_videos=6, frames_per_video=3, n_queries=2,
+                                            keypoints_per_frame=10, dense_per_frame=6,
+                                            seed=61)), tmp_path / "corpus")
+    config = EngineConfig(d_bow=16, d_pq=8, d_fk=2, pca_dim=6, binary_clusters=4,
+                          train_iters=4, gmm_iters=4, seed=61)
+
+    def set_up(tracer, name):
+        with tracer.span("codebooks.train"):
+            books = pipeline.train_codebooks([paths["ref_local"]], [paths["ref_global"]],
+                                             config)
+        with tracer.span("global_index.from_files"):
+            index = pipeline.build_global_index_from_files([paths["ref_global"]], books,
+                                                           config)
+        write_codebooks(books, tmp_path / f"{name}.i2vc")
+        write_global_index(index, tmp_path / f"{name}.gidx")
+
+    tracer = tracing.Tracer()
+    set_up(tracer, "plain")
+    tracer.install({name: importlib.import_module(name) for name in (
+        "frameseek.pipeline", "frameseek.local_query", "frameseek.global_query",
+        "frameseek.fusion")})
+    try:
+        set_up(tracer, "traced")
+    finally:
+        tracer.uninstall()
+    self_times = tracer.self_times()
+    train, = tracer.roots("codebooks.train")
+    build, = tracer.roots("global_index.from_files")
+    assert self_times[train]["codebooks.fisher_pool"] > 0
+    assert self_times[build]["global_index.signature"] > 0
+    for suffix in (".i2vc", ".gidx"):
+        assert (tmp_path / f"traced{suffix}").read_bytes() == \
+            (tmp_path / f"plain{suffix}").read_bytes()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from frameseek.cli import main
-from frameseek.storage import read_local_index, read_run, write_local_index
+from frameseek.storage import (read_global_features, read_local_descriptors,
+                               read_local_index, read_run, write_global_features,
+                               write_local_descriptors, write_local_index)
 
 
 TRAIN_FLAGS = ["--d-bow", "16", "--d-pq", "8", "--d-fk", "2", "--pca-dim", "6",
@@ -221,6 +223,26 @@ def test_text_frame_with_two_videos_clean_error(workspace, tmp_path, capsys):
     assert err.startswith("error=") and "\n" not in err.strip()
     assert "refs.ldsc:2: frame 0 has video ids 0 and 1" in err
     assert not (tmp_path / "x.lidx").exists()
+
+
+@pytest.mark.parametrize("channel", ["local", "global"])
+def test_non_finite_descriptor_clean_error(workspace, tmp_path, capsys, channel):
+    suffix = ".ldsc" if channel == "local" else ".gdsc"
+    read, write = {"local": (read_local_descriptors, write_local_descriptors),
+                   "global": (read_global_features, write_global_features)}[channel]
+    frames = [(fid, vid, rows.copy()) for fid, vid, rows in
+              read(workspace["corpus"] / f"refs{suffix}")]
+    frames[3][2][0, -1] = np.nan
+    refs = tmp_path / f"refs{suffix}"
+    write(frames, refs)
+    out = tmp_path / "x.idx"
+    rc = main([f"index-{channel}", "--codebooks", str(workspace["books"]),
+               "--features", str(refs), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error=") and "\n" not in err.strip()
+    assert f"{refs}: frame {frames[3][0]} holds a non-finite value" in err
+    assert not out.exists()
 
 
 def test_local_index_with_unknown_frame_clean_error(workspace, tmp_path, capsys):

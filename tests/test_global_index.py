@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_global_index_oracle
+from conftest import build_global_index_oracle, fisher_vector_oracle
 from frameseek import (BinaryCenters, GMMModel, GlobalSignature, binarize,
                        build_global_index, fisher_vector, gmm_train,
                        make_signature)
@@ -72,9 +72,36 @@ def test_fisher_permutation_invariant(toy_gmm):
         np.testing.assert_allclose(fisher_vector(features[perm], toy_gmm), base, atol=1e-9)
 
 
+def test_fisher_one_frame_equals_per_frame_oracle(toy_gmm):
+    gen = np.random.default_rng(93)
+    for n in (1, 2, 17, 40):
+        features = gen.normal(0, 2, size=(n, 6))
+        np.testing.assert_array_equal(fisher_vector(features, toy_gmm),
+                                      fisher_vector_oracle(features, toy_gmm))
+
+
+def test_fisher_of_frames_equals_each_frame_pooled_alone(toy_gmm):
+    gen = np.random.default_rng(94)
+    sizes = [1, 5, 5, 1, 12, 5, 3]
+    features = gen.normal(0, 2, size=(sum(sizes), 6))
+    got = fisher_vector(features, toy_gmm, sizes)
+    starts = np.cumsum(sizes) - sizes
+    want = np.stack([fisher_vector_oracle(features[lo:lo + n], toy_gmm)
+                     for lo, n in zip(starts, sizes)])
+    # the posteriors of a block round apart from those of each frame alone
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 def test_fisher_empty_frame_errors(toy_gmm):
     with pytest.raises(ValueError, match="empty frame"):
         fisher_vector(np.empty((0, 6)), toy_gmm)
+    with pytest.raises(ValueError, match="empty frame"):
+        fisher_vector(np.zeros((4, 6)), toy_gmm, [2, 0, 2])
+
+
+def test_fisher_sizes_must_cover_the_rows(toy_gmm):
+    with pytest.raises(ValueError, match="add up to 5, not 4 rows"):
+        fisher_vector(np.zeros((4, 6)), toy_gmm, [2, 3])
 
 
 def test_fisher_dimension_mismatch(toy_gmm):

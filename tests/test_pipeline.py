@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import signature_codes_oracle
+from frameseek import gmm_train, pca_fit, pca_project, pipeline
 from frameseek.config import EngineConfig, load_config_file
-from frameseek.pipeline import (_sample_index, _sample_rows,
+from frameseek.pipeline import (SIGNATURE_BLOCK_ROWS, _frame_blocks,
+                                _sample_index, _sample_rows, _signature_codes,
                                 build_global_index_from_files,
                                 build_local_index_from_files,
                                 check_compatible_global,
@@ -78,12 +81,63 @@ def test_index_build_independent_of_thread_count(trained):
 
 
 def test_frame_without_features_rejected_at_signature_time(trained, tmp_path):
-    from frameseek.storage import write_global_features
     paths, config, books = trained
+    frames = read_global_features(paths["ref_global"])
+    empty = (max(fid for fid, _, _ in frames) + 1, 0, np.empty((0, 384), dtype=np.float32))
     bad = tmp_path / "empty_frame.gdsc"
-    write_global_features([(0, 0, np.empty((0, 384), dtype=np.float32))], bad)
-    with pytest.raises(ValueError, match="empty frame"):
-        build_global_index_from_files([bad], books, config)
+    for sequence in ([empty], frames[:5] + [empty] + frames[5:]):  # alone and in mid-file
+        write_global_features(sequence, bad)
+        with pytest.raises(ValueError, match="empty frame"):
+            build_global_index_from_files([bad], books, config)
+
+
+# --- the blocked signature pass ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def signature_models():
+    gen = np.random.default_rng(57)
+    samples = gen.normal(size=(1500, 384))
+    pca = pca_fit(samples, 6)
+    return pca, gmm_train(pca_project(pca, samples), 3, iters=5, seed=57)
+
+
+BLOCK = SIGNATURE_BLOCK_ROWS
+SIGNATURE_SIZES = {
+    "one_row": [1] * (2 * BLOCK + 5),
+    "mixed": np.random.default_rng(58).integers(1, 60, size=150).tolist(),
+    "larger_than_block": [BLOCK + 1, 3, 7, BLOCK + 300, 2, 5],
+    "straddling": [BLOCK - 1, 1, 1, BLOCK - 2, 3, BLOCK, BLOCK + 1, 1, BLOCK // 2, BLOCK // 2 + 1],
+}
+
+
+@pytest.mark.parametrize("frames_per_block", [None, 5])
+@pytest.mark.parametrize("case", SIGNATURE_SIZES)
+def test_signature_codes_equal_per_frame_oracle(signature_models, monkeypatch, case,
+                                                frames_per_block):
+    pca, gmm = signature_models
+    if frames_per_block:
+        monkeypatch.setattr(pipeline, "SIGNATURE_BLOCK_FLOATS",
+                            frames_per_block * gmm.n_components * gmm.d)
+    gen = np.random.default_rng(59)
+    frames = [(fid, fid // 4, gen.normal(size=(n, 384)).astype(np.float32))
+              for fid, n in enumerate(SIGNATURE_SIZES[case])]
+    np.testing.assert_array_equal(_signature_codes(frames, pca, gmm),
+                                  signature_codes_oracle(frames, pca, gmm))
+
+
+@pytest.mark.parametrize("max_frames", [1, 4, 10 ** 6])
+def test_frame_blocks_are_maximal_runs_within_budget(max_frames):
+    sizes = [BLOCK + 7, 0, 5, BLOCK, 0, 0, BLOCK + 7, 1, 2] + [BLOCK // 3] * 7 + [0, 1] * 9
+    blocks = list(_frame_blocks(sizes, max_frames))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == len(sizes)
+    for lo, hi in blocks:
+        rows = sum(sizes[lo:hi])
+        assert 0 < hi - lo <= max_frames
+        assert hi - lo == 1 or rows <= BLOCK
+        if hi < len(sizes):  # the next frame would break a budget
+            assert hi - lo == max_frames or rows + sizes[hi] > BLOCK
+    assert list(_frame_blocks([], max_frames)) == []
 
 
 def test_engine_config_override_and_file(tmp_path):

@@ -275,6 +275,46 @@ def small_gdsc(tmp_path, sizes=(2, 0, 1)):
     return path, frames
 
 
+DESCRIPTOR_FILES = {"ldsc": (small_ldsc, read_local_descriptors, write_local_descriptors),
+                    "gdsc": (small_gdsc, read_global_features, write_global_features)}
+NAN_ID, INF_ID, NEG_INF_ID = 0x7FC00000, 0x7F800000, 0xFF800000  # as float32 bits
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("first_id", [0, NAN_ID])
+@pytest.mark.parametrize("kind", ["ldsc", "gdsc"])
+def test_descriptor_files_reject_non_finite_values(tmp_path, kind, first_id, value):
+    small, read, write = DESCRIPTOR_FILES[kind]
+    path, frames = small(tmp_path, sizes=(2, 0, 3, 1))
+    bad = [(fid or first_id, vid, rows.copy()) for fid, vid, rows in frames]
+    bad[2][2][1, 7] = value
+    write(bad, path)
+    with pytest.raises(FileFormatError,
+                       match=rf"^{re.escape(str(path))}: frame 2 holds a non-finite value$"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["ldsc", "gdsc"])
+def test_descriptor_ids_that_read_as_non_finite_floats_accepted(tmp_path, kind):
+    small, read, write = DESCRIPTOR_FILES[kind]
+    path, frames = small(tmp_path)
+    ids = [NAN_ID, INF_ID, NEG_INF_ID]
+    write([(fid, fid, rows) for fid, (_, _, rows) in zip(ids, frames)], path)
+    assert [(fid, vid) for fid, vid, _ in read(path)] == list(zip(ids, ids))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])  # 1e39 overflows float32
+def test_local_descriptors_text_rejects_non_finite_values(tmp_path, value):
+    desc = " ".join("0.5" for _ in range(127))
+    p = tmp_path / "frames.txt"
+    p.write_text(f"3 1 1.0 2.0 0.0 1.0 0.5 {desc}\n"
+                 f"4 1 1.0 2.0 0.0 1.0 0.5 {desc}\n"
+                 f"4 1 1.0 2.0 0.0 1.0 {value} {desc}\n")
+    with pytest.raises(FileFormatError,
+                       match=rf"^{re.escape(str(p))}: frame 4 holds a non-finite value$"):
+        read_local_descriptors(p)
+
+
 def test_global_features_every_truncation_rejected(tmp_path):
     path, frames = small_gdsc(tmp_path)
     data = path.read_bytes()
