@@ -383,7 +383,9 @@ def pca_fit(samples: np.ndarray, d_out: int) -> PCAModel:
 
 
 def pca_project(model: PCAModel, v: np.ndarray) -> np.ndarray:
-    """Project one vector or a batch of rows: basis . (v - mean)."""
+    """Project one vector, a batch of rows or an (f, n, d) stack of row
+    batches: basis . (v - mean). numpy multiplies a stack one batch at a
+    time, so each batch projects as it would alone."""
     v = np.asarray(v, dtype=np.float64)
     basis = model.basis.astype(np.float64)
     mean = model.mean.astype(np.float64)
@@ -398,10 +400,14 @@ def gmm_log_posteriors(model: GMMModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     The Mahalanobis term sum_d (x - mu)^2 / sigma^2 expands into
     x^2 . (1 / sigma^2) - 2 x . (mu / sigma^2) + sum_d mu^2 / sigma^2, so the
     log joint densities take two matrix products per row block
-    (`_row_spans`): memory grows with n * k, never with n * k * d.
+    (`_row_spans`): memory grows with n * k, never with n * k * d. An
+    (f, n, d) stack of frames takes the same products frame by frame (numpy
+    multiplies a stack one matrix at a time), so each frame's values are
+    those of the frame alone, bit for bit.
 
     Returns:
-        (log_gamma, log_lik) with shapes (n, k) and (n,).
+        (log_gamma, log_lik) with shapes (n, k) and (n,), or (f, n, k) and
+        (f, n) for a stack.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     neg_half_precision, scaled_means, offset = model.log_density_terms
@@ -409,17 +415,17 @@ def gmm_log_posteriors(model: GMMModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     def log_joint(block):
         return (block * block) @ neg_half_precision.T + block @ scaled_means.T + offset
 
-    blocks = [log_joint(x[lo:hi]) for lo, hi in _row_spans(x.shape[0])]
-    joint = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    blocks = [log_joint(x[..., lo:hi, :]) for lo, hi in _row_spans(x.shape[-2])]
+    joint = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
     del blocks
-    peak = joint.max(axis=1, keepdims=True)
-    log_lik = peak[:, 0] + np.log(np.exp(joint - peak).sum(axis=1))
-    joint -= log_lik[:, None]
+    peak = joint.max(axis=-1, keepdims=True)
+    log_lik = peak[..., 0] + np.log(np.exp(joint - peak).sum(axis=-1))
+    joint -= log_lik[..., None]
     return joint, log_lik
 
 
 def gmm_posteriors(model: GMMModel, x: np.ndarray) -> np.ndarray:
-    """Responsibilities gamma_i(k), shape (n, k)."""
+    """Responsibilities gamma_i(k), shape (n, k), or (f, n, k) for a stack."""
     log_gamma, _ = gmm_log_posteriors(model, x)
     return np.exp(log_gamma)
 

@@ -7,7 +7,6 @@ Hamming-nearest binary cluster center so queries can probe a few clusters
 instead of the whole corpus.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,64 +15,43 @@ from .bits import pack_bits, packed_length
 from .codebooks import BinaryCenters, GMMModel, binary_assign_batch, gmm_posteriors
 
 
-def fisher_vector(features: np.ndarray, gmm: GMMModel,
-                  sizes: Sequence[int] | None = None) -> np.ndarray:
-    """First-order (mean-gradient) Fisher vector of a feature set, or of each
-    of several frames whose rows lie end to end in `features`.
+def fisher_vector(features: np.ndarray, gmm: GMMModel) -> np.ndarray:
+    """First-order (mean-gradient) Fisher vector of one frame's feature set,
+    or of each frame of an (f, n, d) stack of frames with n rows each.
 
     For component k: g_k = (1 / (n sqrt(w_k))) * sum_i gamma_i(k) (x_i - mu_k) / sigma_k,
     concatenated over components. No power or l2 normalization is applied;
     the sign pattern is what binarization consumes, and it is invariant under
     any positive rescaling.
 
-    The posteriors of all rows come from one pass; each frame's sums
-    gamma.T @ x come from one stacked matrix product per distinct frame
-    size, which computes every frame's product as a product of that frame
-    alone would.
+    A stack takes the posteriors and the sums gamma.T @ x in one pass, and
+    numpy multiplies it one frame at a time, so each frame's vector equals
+    that of the frame pooled alone, bit for bit.
 
     Args:
-        features: (n, d) rows, or one d-vector.
-        sizes: row count of each frame, in row order; None pools all rows
-            as one frame.
+        features: (n, d) rows, one d-vector, or an (f, n, d) stack.
 
     Returns:
-        The (D_fk * d,) vector, or with `sizes` one such row per frame.
+        The (D_fk * d,) vector, or for a stack one such row per frame.
 
     Raises:
-        ValueError: an empty frame, a feature dimension other than the
-            mixture's, or sizes that do not add up to the rows.
+        ValueError: an empty frame or a feature dimension other than the
+            mixture's.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    counts = [features.shape[0]] if sizes is None else [int(n) for n in sizes]
-    if not all(counts):
+    n, d = features.shape[-2:]
+    if n == 0:
         raise ValueError("empty frame: no features to pool")
-    if features.shape[1] != gmm.d:
-        raise ValueError(f"feature dimension {features.shape[1]} does not match mixture ({gmm.d})")
-    if sum(counts) != features.shape[0]:
-        raise ValueError(f"frame sizes add up to {sum(counts)}, not {features.shape[0]} rows")
-    k, d = gmm.n_components, gmm.d
-    gamma = gmm_posteriors(gmm, features)  # (rows, k)
-    if len(set(counts)) == 1:  # frames of one size: the rows reshape in place
-        g = gamma.reshape(len(counts), counts[0], k)
-        fisher = np.matmul(g.transpose(0, 2, 1), features.reshape(len(counts), counts[0], d))
-        totals = g.sum(axis=1)
-    else:  # gather the rows of each size's frames
-        fisher = np.empty((len(counts), k, d))
-        totals = np.empty((len(counts), k))
-        ends = np.cumsum(counts)
-        for n in set(counts):
-            group = np.flatnonzero(np.equal(counts, n))
-            rows = (ends[group, None] - n + np.arange(n)).reshape(-1)
-            g = gamma[rows].reshape(group.size, n, k)
-            fisher[group] = np.matmul(g.transpose(0, 2, 1),
-                                      features[rows].reshape(group.size, n, d))
-            totals[group] = g.sum(axis=1)
-    # fisher holds sum_i gamma_i(k) x_i and totals sum_i gamma_i(k), per frame
-    fisher -= totals[:, :, None] * gmm.means
+    if d != gmm.d:
+        raise ValueError(f"feature dimension {d} does not match mixture ({gmm.d})")
+    frames = features.reshape(-1, n, d)
+    gamma = gmm_posteriors(gmm, frames)  # (f, n, k)
+    fisher = np.matmul(gamma.transpose(0, 2, 1), frames)  # sum_i gamma_i(k) x_i
+    fisher -= gamma.sum(axis=1)[:, :, None] * gmm.means
     fisher /= np.sqrt(gmm.variances)
-    fisher /= (np.array(counts)[:, None] * np.sqrt(gmm.weights))[:, :, None]
-    fisher = fisher.reshape(len(counts), k * d)
-    return fisher[0] if sizes is None else fisher
+    fisher /= (n * np.sqrt(gmm.weights))[:, None]
+    fisher = fisher.reshape(frames.shape[0], -1)
+    return fisher if features.ndim == 3 else fisher[0]
 
 
 def binarize(v: np.ndarray) -> np.ndarray:

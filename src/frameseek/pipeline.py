@@ -3,9 +3,9 @@
 These functions sit between the file formats and the per-module operations
 so the CLI stays a thin argument parser and library users can drive the
 whole engine from Python. Everything runs on the calling thread: local
-encoding in row blocks, global signatures in blocks of consecutive frames,
-and the ranking of queries one frame at a time. The `threads` setting is
-accepted and ignored.
+encoding in row blocks, global signatures in blocks of consecutive frames
+with one row count, and the ranking of queries one frame at a time. The
+`threads` setting is accepted and ignored.
 """
 
 from pathlib import Path
@@ -30,10 +30,11 @@ from .storage import read_global_features, read_local_descriptors
 # Budget of one block of the global signature pass. The rows bound its
 # float64 temporaries of (rows, 384), (rows, pca_dim) and (rows, D_fk): 768 KiB
 # each at most for the 384-d input, so a block stays in a core's L2 cache
-# (on the 4 MiB L2 of the reference machine, 256 rows took 30 to 50% less
-# time than 1,024). The Fisher floats bound its (frames, D_fk * pca_dim)
-# float64 vectors to 2 MiB, 16 frames at the published D_fk = 256 and
-# pca_dim = 64. A frame larger than the row budget is a block of its own.
+# (on the 4 MiB L2 of the reference machine, the pass at the benchmark's
+# shapes took 190, 29 and 60 ms with 256 rows against 225, 29 and 73 ms
+# with 1,024). The Fisher floats bound its (frames, D_fk * pca_dim) float64
+# vectors to 2 MiB, 16 frames at the published D_fk = 256 and pca_dim = 64.
+# A frame larger than the row budget is a block of its own.
 SIGNATURE_BLOCK_ROWS = 256
 SIGNATURE_BLOCK_FLOATS = 1 << 18
 
@@ -66,13 +67,14 @@ def _sample_rows(frames, cap: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _frame_blocks(sizes: list[int], max_frames: int):
-    """(lo, hi) ranges of consecutive frames, in order: a block ends before
-    the frame that would take it past SIGNATURE_BLOCK_ROWS rows or
-    max_frames frames, so a frame larger than the row budget is a block of
-    its own."""
+    """(lo, hi) ranges of consecutive frames of one row count, in order: a
+    block ends before a frame of another row count and before the frame that
+    would take it past SIGNATURE_BLOCK_ROWS rows or max_frames frames, so a
+    frame larger than the row budget is a block of its own."""
     lo = rows = 0
     for i, n in enumerate(sizes):
-        if i > lo and (rows + n > SIGNATURE_BLOCK_ROWS or i - lo == max_frames):
+        if i > lo and (n != sizes[lo] or rows + n > SIGNATURE_BLOCK_ROWS
+                       or i - lo == max_frames):
             yield lo, i
             lo, rows = i, 0
         rows += n
@@ -82,15 +84,16 @@ def _frame_blocks(sizes: list[int], max_frames: int):
 
 def _signature_codes(frames, pca: PCAModel, gmm: GMMModel) -> np.ndarray:
     """Packed binary Fisher signature of each frame's features, one row per
-    frame, in input order, computed over blocks of consecutive frames
-    (`_frame_blocks`)."""
+    frame, in input order, computed over blocks of consecutive frames of one
+    row count (`_frame_blocks`). Each block is projected and pooled as one
+    (frames, rows, 384) stack, which numpy multiplies one frame at a time,
+    so every code equals the code of its frame computed alone (a query's)."""
     n_bits = gmm.n_components * gmm.d
     sizes = [rows.shape[0] for _, _, rows in frames]
     codes = np.empty((len(frames), packed_length(n_bits)), dtype=np.uint8)
     for lo, hi in _frame_blocks(sizes, max(1, SIGNATURE_BLOCK_FLOATS // n_bits)):
-        rows = np.concatenate([feats for _, _, feats in frames[lo:hi]])
-        fisher = fisher_vector(pca_project(pca, rows), gmm, sizes[lo:hi])
-        codes[lo:hi] = pack_bits(binarize(fisher))
+        stack = np.stack([feats for _, _, feats in frames[lo:hi]])
+        codes[lo:hi] = pack_bits(binarize(fisher_vector(pca_project(pca, stack), gmm)))
     return codes
 
 

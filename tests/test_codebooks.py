@@ -347,6 +347,19 @@ def test_gmm_log_posteriors_equal_broadcast_oracle(n, k, d):
     np.testing.assert_allclose(np.exp(log_gamma), np.exp(want_gamma), rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 16, ASSIGN_BLOCK_ROWS + 5])
+def test_gmm_log_posteriors_of_a_stack_equal_each_frame_alone(n):
+    gen = np.random.default_rng(2000 + n)
+    model = random_gmm(gen, 8, 12)
+    frames = gen.normal(0, 2, size=(3, n, 12))
+    log_gamma, log_lik = gmm_log_posteriors(model, frames)
+    assert log_gamma.shape == (3, n, 8) and log_lik.shape == (3, n)
+    for frame, got_gamma, got_lik in zip(frames, log_gamma, log_lik):
+        want_gamma, want_lik = gmm_log_posteriors(model, frame)
+        np.testing.assert_array_equal(got_gamma, want_gamma)
+        np.testing.assert_array_equal(got_lik, want_lik)
+
+
 def test_gmm_log_posteriors_memory_bounded():
     gen = np.random.default_rng(26)
     model = random_gmm(gen, 64, 64)

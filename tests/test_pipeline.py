@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import signature_codes_oracle
-from frameseek import gmm_train, pca_fit, pca_project, pipeline
+from frameseek import (fisher_vector, gmm_train, make_signature, pca_fit, pca_project,
+                       pipeline)
 from frameseek.config import EngineConfig, load_config_file
 from frameseek.pipeline import (SIGNATURE_BLOCK_ROWS, _frame_blocks,
                                 _sample_index, _sample_rows, _signature_codes,
@@ -125,6 +126,26 @@ def test_signature_codes_equal_per_frame_oracle(signature_models, monkeypatch, c
                                   signature_codes_oracle(frames, pca, gmm))
 
 
+def test_frame_coded_alone_equals_its_code_in_a_full_block():
+    """At the neardup-global shapes (384 -> 64 PCA, 64 components, 16-row
+    frames), an indexed frame coded alone, as a query is, gets the code it
+    has inside a full block of the index build: an exact duplicate of an
+    indexed frame must find its own code."""
+    corpus = generate(SynthSpec(n_videos=10, frames_per_video=8, n_queries=1,
+                                keypoints_per_frame=1, dense_per_frame=16, seed=62))
+    frames = corpus.ref_global
+    features = np.concatenate([feats for _, _, feats in frames]).astype(np.float64)
+    pca = pca_fit(features, 64)
+    gmm = gmm_train(pca_project(pca, features), 64, iters=3, seed=62)
+    blocks = list(_frame_blocks([16] * len(frames), pipeline.SIGNATURE_BLOCK_FLOATS // 4096))
+    assert {hi - lo for lo, hi in blocks} == {BLOCK // 16}  # every block is full
+    codes = _signature_codes(frames, pca, gmm)
+    for (fid, vid, feats), code in zip(frames, codes):
+        np.testing.assert_array_equal(
+            make_signature(fid, vid, fisher_vector(pca_project(pca, feats), gmm)).bits, code)
+        np.testing.assert_array_equal(_signature_codes([(fid, vid, feats)], pca, gmm)[0], code)
+
+
 @pytest.mark.parametrize("max_frames", [1, 4, 10 ** 6])
 def test_frame_blocks_are_maximal_runs_within_budget(max_frames):
     sizes = [BLOCK + 7, 0, 5, BLOCK, 0, 0, BLOCK + 7, 1, 2] + [BLOCK // 3] * 7 + [0, 1] * 9
@@ -135,8 +156,10 @@ def test_frame_blocks_are_maximal_runs_within_budget(max_frames):
         rows = sum(sizes[lo:hi])
         assert 0 < hi - lo <= max_frames
         assert hi - lo == 1 or rows <= BLOCK
-        if hi < len(sizes):  # the next frame would break a budget
-            assert hi - lo == max_frames or rows + sizes[hi] > BLOCK
+        assert len(set(sizes[lo:hi])) == 1
+        if hi < len(sizes):  # the next frame has another size or would break a budget
+            assert (sizes[hi] != sizes[lo] or hi - lo == max_frames
+                    or rows + sizes[hi] > BLOCK)
     assert list(_frame_blocks([], max_frames)) == []
 
 
