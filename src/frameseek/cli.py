@@ -75,8 +75,7 @@ def _cmd_query_local(args) -> int:
                             frame_width=args.frame_width, frame_height=args.frame_height)
     books = storage.read_codebooks(args.codebooks)
     index = storage.read_local_index(args.index)
-    ranked = pipeline.query_local_file(args.query, index, books, config,
-                                       asymmetric=args.asymmetric)
+    ranked = pipeline.query_local_file(args.query, index, books, config)
     storage.write_run(pipeline.ranked_to_run(ranked), args.out)
     print(f"run={args.out} queries={len(ranked)}")
     return 0
@@ -178,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="LDSC file of query frames")
     p.add_argument("--tau-pq", type=float, default=None)
     p.add_argument("--top-n", type=int, default=None)
-    p.add_argument("--asymmetric", action="store_true",
-                   help="score raw query residuals against reference centers")
     p.add_argument("--frame-width", type=float, default=None)
     p.add_argument("--frame-height", type=float, default=None)
     p.add_argument("--out", required=True)

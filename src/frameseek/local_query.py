@@ -44,14 +44,12 @@ class HoughConfig:
 class QueryPosting:
     """Encoded query keypoint: hash codes plus raw (unquantized) geometry."""
 
-    index: int  # position within the query frame
     word: int
     codes: np.ndarray  # (m,) uint8
     x: float
     y: float
     theta: float
     log_scale: float
-    residual: np.ndarray | None = None  # kept for asymmetric scoring
 
 
 @dataclass
@@ -94,12 +92,12 @@ class PQScoreTable:
         self.tables = np.stack(tables)
 
 
-def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel,
-                       keep_residuals: bool = False) -> list[QueryPosting]:
+def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel) -> list[QueryPosting]:
     """Encode query keypoints, keeping raw geometry for the Hough vote.
 
     `rows` is the query frame's row block as the LDSC reader returns it:
-    one row [x, y, theta, log_scale, descriptor...] per keypoint.
+    one row [x, y, theta, log_scale, descriptor...] per keypoint; the
+    postings come back in row order.
     """
     if not len(rows):
         return []
@@ -108,28 +106,15 @@ def encode_query_local(rows: np.ndarray, bow: KMeansModel, pq: PQModel,
     words, residuals = kmeans_assign_batch(bow, np.ascontiguousarray(rows[:, 4:], dtype=np.float64))
     codes = pq_encode_batch(pq, residuals)
     return [
-        QueryPosting(index=i, word=word, codes=codes[i], x=x, y=y, theta=wrap_angle(theta),
-                     log_scale=log_scale, residual=residuals[i] if keep_residuals else None)
-        for i, (word, (x, y, theta, log_scale)) in enumerate(zip(words.tolist(),
-                                                                 rows[:, :4].tolist()))
+        QueryPosting(word=word, codes=code, x=x, y=y, theta=wrap_angle(theta),
+                     log_scale=log_scale)
+        for word, code, (x, y, theta, log_scale) in zip(words.tolist(), codes,
+                                                        rows[:, :4].tolist())
     ]
 
 
-def _asymmetric_tables(residuals: np.ndarray, pq: PQModel) -> np.ndarray:
-    """Per-keypoint lookup tables, shape (m, n_query, n_centers): the clipped
-    normalized similarity of each raw residual slice to every sub-center."""
-    sub_dim = pq.sub_dim
-    luts = np.empty((pq.m, residuals.shape[0], pq.n_centers), dtype=np.float64)
-    for j, sub in enumerate(pq.sub_models):
-        r = residuals[:, None, j * sub_dim:(j + 1) * sub_dim]
-        dist = np.sqrt(np.sum((sub.centers.astype(np.float64) - r) ** 2, axis=2))
-        luts[j] = np.clip(1.0 - dist / pq.max_dist[j], 0.0, 1.0)
-    return luts
-
-
 def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
-                    tau_pq: float = 0.72, asymmetric: bool = False,
-                    table: PQScoreTable | None = None) -> Matches:
+                    tau_pq: float = 0.72, table: PQScoreTable | None = None) -> Matches:
     """Scan the inverted lists of the query's words and keep matches whose PQ
     similarity exceeds tau_pq, weighted by the word's idf.
 
@@ -137,10 +122,9 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
     The positions of all live keypoints' posting ranges are scored together
     with m flat lookup-table gathers, one per subquantizer (IVFADC-style);
     the other posting columns are gathered at the hits only. Stopped words
-    have no postings and are skipped by construction. Asymmetric mode scores
-    the raw query residual against reference centers (requires postings
-    encoded with keep_residuals=True). `table` is `PQScoreTable(pq)`, passed
-    in to build it once per query batch.
+    have no postings and are skipped by construction. A match's query_index
+    is its keypoint's position in `query`. `table` is `PQScoreTable(pq)`,
+    passed in to build it once per query batch.
     """
     if not 0.0 <= tau_pq < 1.0:
         raise ValueError("tau_pq must be in [0, 1)")
@@ -157,17 +141,11 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
     # pos: the index row of every scanned posting, range after range
     pos = np.repeat(lo - (ends - counts), counts) + np.arange(ends[-1])
     n_centers = pq.n_centers
-    if asymmetric:
-        if any(p.residual is None for p in live_query):
-            raise ValueError("asymmetric scoring needs query residuals")
-        luts = _asymmetric_tables(np.stack([p.residual for p in live_query]), pq)
-    else:
-        # row j of live keypoint i is the score of its code i_j against every
-        # center of subspace j: small enough to stay in cache
-        q_codes = np.stack([p.codes for p in live_query])
-        tables = (table or PQScoreTable(pq)).tables
-        luts = tables[np.arange(pq.m)[:, None], q_codes.T]
-    luts = luts.reshape(pq.m, live.size * n_centers)
+    # row j of live keypoint i is the score of its code i_j against every
+    # center of subspace j: small enough to stay in cache
+    q_codes = np.stack([p.codes for p in live_query])
+    tables = (table or PQScoreTable(pq)).tables
+    luts = tables[np.arange(pq.m)[:, None], q_codes.T].reshape(pq.m, live.size * n_centers)
     lut_base = np.repeat(np.arange(0, live.size * n_centers, n_centers), counts)
     scores = np.zeros(pos.shape[0], dtype=np.float64)
     for j in range(pq.m):
@@ -183,7 +161,7 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
                      dtype=np.float64)[row]
     return Matches(
         frame=index.frame[hit_pos],
-        query_index=np.array([p.index for p in live_query], dtype=np.int64)[row],
+        query_index=live[row],
         score=idf[row] * scores[hits],
         qx=qgeom[:, 0], qy=qgeom[:, 1], qtheta=qgeom[:, 2], qlog_scale=qgeom[:, 3],
         rx=rx, ry=ry, rtheta=dequantize_theta(index.qtheta[hit_pos]),
@@ -264,8 +242,7 @@ def local_rank(rows: np.ndarray, index: LocalIndex, bow: KMeansModel,
                pq: PQModel, tau_pq: float = 0.72, top_n: int = 100,
                hough: HoughConfig | None = None,
                query_geometry: FrameGeometry | None = None,
-               table: PQScoreTable | None = None,
-               asymmetric: bool = False) -> RankedList:
+               table: PQScoreTable | None = None) -> RankedList:
     """Full local query of one frame's row block: encode, match, verify,
     aggregate to videos.
 
@@ -273,11 +250,11 @@ def local_rank(rows: np.ndarray, index: LocalIndex, bow: KMeansModel,
     by the query's own score mass so results land in [0, 1]. Ties order by
     ascending video id; the list truncates to top_n.
     """
-    query = encode_query_local(rows, bow, pq, keep_residuals=asymmetric)
+    query = encode_query_local(rows, bow, pq)
     mass = query_score_mass(query, index)
     if mass <= 0.0:
         return RankedList(entries=[], channel=LOCAL)
-    matches = collect_matches(query, index, pq, tau_pq, asymmetric=asymmetric, table=table)
+    matches = collect_matches(query, index, pq, tau_pq, table=table)
     diag = (query_geometry or index.geometry).diagonal
     frame_scores = hough_verify(matches, hough, query_diagonal=diag)
     videos: dict[int, float] = {}

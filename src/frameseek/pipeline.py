@@ -135,11 +135,16 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
     """Train the full model bundle from descriptor files.
 
     PCA may be fit on a different feature set than the GMM corpus when
-    pca_files is given; by default the reference corpus serves both.
+    pca_files is given; by default the reference corpus serves both. Frame
+    ids must be unique within each of the three sets, not across them.
+
+    Raises:
+        ValueError: a set holds no frames (pca_files only when given), or a
+            frame id repeats within a set.
     """
     rng = np.random.default_rng(config.seed)
 
-    frames = [frame for path in local_files for frame in read_local_descriptors(path)]
+    frames = _read_frames(local_files, read_local_descriptors)
     n_rows = sum(rows.shape[0] for _, _, rows in frames)
     if not n_rows:
         raise ValueError("no input files: no local descriptors to train on")
@@ -154,16 +159,14 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
     pq = pq_train(residuals, m=config.m, n_centers=config.d_pq,
                   iters=config.train_iters, seed=config.seed + 1)
 
-    def load_features(paths):
-        frames = []
-        for path in paths:
-            frames.extend(read_global_features(path))
-        if not frames:
-            raise ValueError("no input files: no global features to train on")
-        return frames
-
-    frames = load_features(global_files)
-    pca_frames = load_features(pca_files) if pca_files else frames
+    frames = _read_frames(global_files, read_global_features)
+    if not frames:
+        raise ValueError("no input files: no global features to train on")
+    pca_frames = frames
+    if pca_files is not None:
+        pca_frames = _read_frames(pca_files, read_global_features)
+        if not pca_frames:
+            raise ValueError("no input files: no PCA features (.gdsc) to train on")
     pca = pca_fit(_sample_rows(pca_frames, config.max_train_samples, rng), config.pca_dim)
     del pca_frames
     projected = pca_project(pca, _sample_rows(frames, config.max_train_samples, rng))
@@ -217,7 +220,7 @@ def check_compatible_global(books: CodebookSet, index: GlobalIndex) -> None:
 
 
 def query_local_file(path: str | Path, index: LocalIndex, books: CodebookSet,
-                     config: EngineConfig, asymmetric: bool = False) -> dict[int, RankedList]:
+                     config: EngineConfig) -> dict[int, RankedList]:
     """Run every frame of an LDSC file as a query; keys are frame ids."""
     check_compatible_local(books, index)
     frames = _read_frames([path], read_local_descriptors)
@@ -226,7 +229,7 @@ def query_local_file(path: str | Path, index: LocalIndex, books: CodebookSet,
     hough = HoughConfig()
     return {fid: local_rank(rows, index, books.bow, books.pq, tau_pq=config.tau_pq,
                             top_n=config.top_n, hough=hough, query_geometry=geometry,
-                            table=table, asymmetric=asymmetric)
+                            table=table)
             for fid, _, rows in frames}
 
 

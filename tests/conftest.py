@@ -16,7 +16,6 @@ from frameseek.codebooks import _nearest_centers, gmm_log_posteriors
 from frameseek.fusion import GLOBAL, RankedList, rank_videos
 from frameseek.geometry import dequantize_log_scale, dequantize_theta
 from frameseek.local_index import POSTING_DTYPES
-from frameseek.local_query import _asymmetric_tables
 
 
 @pytest.fixture(scope="session")
@@ -148,22 +147,21 @@ def write_local_index_oracle(index, lists, path):
 
 # --- dict-based match collection, kept as the oracle for the CSR scan ---------
 
-def collect_matches_oracle(query, index, pq, tau_pq=0.72, asymmetric=False, table=None):
+def collect_matches_oracle(query, index, pq, tau_pq=0.72, table=None):
     """Concatenate the inverted lists of the live query keypoints, one dict
     lookup per keypoint, score them with (n_query, m, n_centers) tables, and
     concatenate every posting column before keeping the hits."""
-    live = [p for p in query if p.word in index.postings and index.idf[p.word] > 0.0]
-    if not live:
+    positions = [i for i, p in enumerate(query)
+                 if p.word in index.postings and index.idf[p.word] > 0.0]
+    if not positions:
         return Matches(*(np.empty(0) for _ in fields(Matches)))
+    live = [query[i] for i in positions]
     ranges = [index.postings[p.word] for p in live]
     row = np.repeat(np.arange(len(live)), [r["frame"].shape[0] for r in ranges])
     ref_codes = np.concatenate([r["codes"] for r in ranges])
-    if asymmetric:
-        luts = _asymmetric_tables(np.stack([p.residual for p in live]), pq).transpose(1, 0, 2)
-    else:
-        q_codes = np.stack([p.codes for p in live])
-        tables = (table or PQScoreTable(pq)).tables
-        luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(tables)], axis=1)
+    q_codes = np.stack([p.codes for p in live])
+    tables = (table or PQScoreTable(pq)).tables
+    luts = np.stack([t[:, q_codes[:, j]].T for j, t in enumerate(tables)], axis=1)
     scores = np.zeros(row.shape[0], dtype=np.float64)
     for j in range(luts.shape[1]):
         scores += luts[row, j, ref_codes[:, j]]
@@ -179,7 +177,7 @@ def collect_matches_oracle(query, index, pq, tau_pq=0.72, asymmetric=False, tabl
     qgeom = np.array([(p.x, p.y, p.theta, p.log_scale) for p in live], dtype=np.float64)[row]
     return Matches(
         frame=gather("frame"),
-        query_index=np.array([p.index for p in live], dtype=np.int64)[row],
+        query_index=np.array(positions, dtype=np.int64)[row],
         score=idf[row] * scores[hits],
         qx=qgeom[:, 0], qy=qgeom[:, 1], qtheta=qgeom[:, 2], qlog_scale=qgeom[:, 3],
         rx=rx, ry=ry, rtheta=dequantize_theta(gather("qtheta")),
@@ -379,20 +377,6 @@ def pq_score(codes_r, codes_q, pq):
     for j in range(table.m):
         total += table.tables[j][int(codes_r[j]), int(codes_q[j])]
     return total / table.m
-
-
-def pq_score_asymmetric(residual_q, codes_r, pq):
-    """Raw query residual against reference codes, each subspace's term
-    clamped to [0, 1] since a raw residual can sit farther from a center than
-    any center pair."""
-    residual_q = np.asarray(residual_q, dtype=np.float64)
-    sub_dim = pq.sub_dim
-    total = 0.0
-    for j, sub in enumerate(pq.sub_models):
-        c = sub.centers[int(codes_r[j])].astype(np.float64)
-        dist = math.sqrt(float(np.sum((residual_q[j * sub_dim:(j + 1) * sub_dim] - c) ** 2)))
-        total += min(max(1.0 - dist / pq.max_dist[j], 0.0), 1.0)
-    return total / pq.m
 
 
 def hamming_distance(a, b):

@@ -90,7 +90,7 @@ def test_criterion_2_inverted_file_filter_equivalence():
         for tau in (0.5, 0.72, 0.9):
             got = match_rows(collect_matches(query, index, pq, tau_pq=tau, table=table))
             expected = set()
-            for posting in query:
+            for qidx, posting in enumerate(query):
                 idf = float(index.idf[posting.word])
                 for word, arrs in index.postings.items():
                     if word != posting.word:
@@ -98,7 +98,7 @@ def test_criterion_2_inverted_file_filter_equivalence():
                     for i in range(arrs["frame"].shape[0]):
                         s = pq_score(arrs["codes"][i], posting.codes, table)
                         if s > tau and idf * s > 0:
-                            expected.add((int(arrs["frame"][i]), posting.index, idf * s))
+                            expected.add((int(arrs["frame"][i]), qidx, idf * s))
             assert got == expected
             checked += 1
     report(2, True, f"{checked} (query, tau) cases match the exhaustive scan exactly")

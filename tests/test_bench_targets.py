@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameseek import (BinaryCenters, EngineConfig, build_global_index,
-                       build_local_index, encode_frame_local,
-                       encode_query_local, make_signature, pipeline)
+from frameseek import (BinaryCenters, EngineConfig, FrameGeometry, HoughConfig,
+                       PQScoreTable, build_global_index, build_local_index,
+                       encode_frame_local, encode_query_local, local_rank,
+                       make_signature, pipeline)
 from frameseek.bits import pack_bits
-from frameseek.storage import write_codebooks, write_global_index
+from frameseek.storage import (read_local_descriptors, write_codebooks,
+                               write_global_index)
 from frameseek.synth import SynthSpec, generate, write_corpus
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -88,6 +90,32 @@ def test_local_results_read_by_the_benchmark(small_bow, small_pq):
         index.postings = {}
     with pytest.raises(TypeError):
         index.postings[0] = {}
+
+
+def test_benchmark_local_call_equals_query_local_file(tmp_path):
+    """bench/run.py calls `local_rank` with the keywords below, one frame at
+    a time; the ranking must equal the engine's own file query."""
+    paths = write_corpus(generate(SynthSpec(n_videos=6, frames_per_video=3, n_queries=4,
+                                            keypoints_per_frame=12, dense_per_frame=4,
+                                            frame_width=640, frame_height=480, seed=62)),
+                         tmp_path / "corpus")
+    cfg = EngineConfig(d_bow=16, d_pq=8, d_fk=2, pca_dim=6, binary_clusters=4,
+                       train_iters=4, gmm_iters=4, tau_pq=0.6, top_n=3,
+                       frame_width=640, frame_height=480, seed=62)
+    books = pipeline.train_codebooks([paths["ref_local"]], [paths["ref_global"]], cfg)
+    local_index = pipeline.build_local_index_from_files([paths["ref_local"]], books, cfg)
+    table = PQScoreTable(books.pq)
+    geometry = FrameGeometry(cfg.frame_width, cfg.frame_height)
+    hough = HoughConfig()
+    want = pipeline.query_local_file(paths["query_local"], local_index, books, cfg)
+    queries = read_local_descriptors(paths["query_local"])
+    assert sorted(want) == sorted(qid for qid, _, _ in queries)
+    for qid, _, records in queries:
+        local = local_rank(
+            records, local_index, books.bow, books.pq, tau_pq=cfg.tau_pq,
+            top_n=cfg.top_n, hough=hough, query_geometry=geometry, table=table)
+        assert local == want[qid]
+    assert any(ranked.entries for ranked in want.values())
 
 
 def test_traced_signature_pass_records_time_and_same_outputs(tmp_path):

@@ -201,6 +201,21 @@ def test_pca_features_flag_accepts_external_set(workspace, tmp_path):
     assert plain.read_bytes() == explicit.read_bytes()
 
 
+def test_pca_features_without_gdsc_files_clean_error(workspace, tmp_path, capsys):
+    # an explicit PCA set that holds nothing must not fall back to the corpus
+    empty = tmp_path / "no-gdsc"
+    empty.mkdir()
+    (empty / "refs.ldsc").write_bytes((workspace["corpus"] / "refs.ldsc").read_bytes())
+    out = tmp_path / "b.i2vc"
+    rc = main(["train", "--features", str(workspace["corpus"]), "--pca-features", str(empty),
+               "--out", str(out), *TRAIN_FLAGS, "--seed", "11"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error=") and "\n" not in err.strip()
+    assert "no PCA features" in err
+    assert not out.exists()
+
+
 def test_threads_do_not_change_output(workspace, tmp_path):
     one = tmp_path / "t1.run"
     four = tmp_path / "t4.run"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (MatchCandidate, collect_matches_oracle, hough_verify_oracle,
-                      match_rows, matches_from_rows, pq_score, pq_score_asymmetric)
+                      match_rows, matches_from_rows, pq_score)
 from frameseek import (FrameGeometry, HoughConfig, LocalRecord, Matches,
                        Postings, PQScoreTable, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, hough_verify,
@@ -109,19 +109,6 @@ def test_pq_score_length_mismatch(small_pq):
         pq_score(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8), small_pq)
 
 
-def test_pq_score_asymmetric_clamped(small_pq):
-    gen = np.random.default_rng(73)
-    for _ in range(20):
-        residual = gen.normal(0, 5, size=32)  # far outside the center cloud
-        codes = gen.integers(0, 8, size=4).astype(np.uint8)
-        s = pq_score_asymmetric(residual, codes, small_pq)
-        assert 0.0 <= s <= 1.0
-    # zero residual scored against own encoding stays high
-    codes = np.array([0, 0, 0, 0], dtype=np.uint8)
-    own = np.concatenate([sub.centers[0].astype(np.float64) for sub in small_pq.sub_models])
-    assert pq_score_asymmetric(own, codes, small_pq) == 1.0
-
-
 # --- collect_matches ------------------------------------------------------------
 
 def test_collect_matches_impossible_threshold(small_bow, small_pq):
@@ -151,7 +138,7 @@ def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
     for tau in (0.5, 0.72, 0.9):
         got = match_rows(collect_matches(query, index, small_pq, tau_pq=tau, table=table))
         expected = set()
-        for posting in query:
+        for qidx, posting in enumerate(query):
             for word, arrs in index.postings.items():
                 if word != posting.word:
                     continue
@@ -159,34 +146,8 @@ def test_collect_matches_equals_full_scan_oracle(small_bow, small_pq):
                 for i in range(arrs["frame"].shape[0]):
                     s = pq_score(arrs["codes"][i], posting.codes, table)
                     if s > tau and idf * s > 0:
-                        expected.add((int(arrs["frame"][i]), posting.index, idf * s))
+                        expected.add((int(arrs["frame"][i]), qidx, idf * s))
         assert got == expected
-
-
-def test_collect_matches_asymmetric_equals_full_scan_oracle(small_bow, small_pq):
-    index, frames = build_corpus_index(small_bow, small_pq, prune=0.1)
-    gen = np.random.default_rng(83)
-    query_rows = make_rows(gen.normal(size=(15, 32)), seed=83)
-    query = encode_query_local(query_rows, small_bow, small_pq, keep_residuals=True)
-    # raw residuals sit far from these small codebooks, so scores stay low
-    for tau in (0.05, 0.15, 0.2):
-        got = match_rows(collect_matches(query, index, small_pq, tau_pq=tau, asymmetric=True))
-        expected = set()
-        for posting in query:
-            arrs = index.postings.get(posting.word)
-            if arrs is None:
-                continue
-            idf = float(index.idf[posting.word])
-            for i in range(arrs["frame"].shape[0]):
-                s = pq_score_asymmetric(posting.residual, arrs["codes"][i], small_pq)
-                if s > tau and idf * s > 0:
-                    expected.add((int(arrs["frame"][i]), posting.index, idf * s))
-        assert got == expected
-        if tau == 0.05:
-            assert got  # the comparison is not vacuous
-    plain = encode_query_local(query_rows, small_bow, small_pq)
-    with pytest.raises(ValueError, match="residuals"):
-        collect_matches(plain, index, small_pq, tau_pq=0.5, asymmetric=True)
 
 
 def assert_same_matches(got, want):
@@ -196,12 +157,13 @@ def assert_same_matches(got, want):
         assert a.tobytes() == b.tobytes(), f.name
 
 
-@pytest.mark.parametrize("asymmetric", [False, True])
+@pytest.mark.parametrize("prebuilt_table", [False, True])
 @pytest.mark.parametrize("tau", [0.05, 0.5, 0.72, 0.9])
-def test_collect_matches_equals_dict_oracle(small_bow, small_pq, asymmetric, tau):
+def test_collect_matches_equals_dict_oracle(small_bow, small_pq, prebuilt_table, tau):
     """The CSR scan returns the dict-based scan's matches exactly, column by
     column, with stopped, zero-idf, posting-less, out-of-range and repeated
-    query words among the keypoints."""
+    query words among the keypoints, whether it is handed the score table or
+    builds its own."""
     missing = 5
     index, frames = build_corpus_index(small_bow, small_pq, prune=0.2, drop_words={missing})
     stopped = int(np.flatnonzero(index.stop_mask)[0])
@@ -211,17 +173,15 @@ def test_collect_matches_equals_dict_oracle(small_bow, small_pq, asymmetric, tau
     index.idf[zero_idf] = 0.0
     gen = np.random.default_rng(84)
     rows = np.concatenate([frames[0][2], frames[7][2], make_rows(gen.normal(size=(10, 32)), 84)])
-    query = encode_query_local(rows, small_bow, small_pq, keep_residuals=asymmetric)
+    query = encode_query_local(rows, small_bow, small_pq)
     query[0].word, query[1].word, query[2].word = stopped, zero_idf, missing
     query[3].word = small_bow.k  # outside the vocabulary
     query[4].word = query[5].word = query[6].word
     assert missing not in index.postings and not index.stop_mask[missing]
-    table = PQScoreTable(small_pq)
-    args = dict(tau_pq=tau, asymmetric=asymmetric, table=table)
+    args = dict(tau_pq=tau, table=PQScoreTable(small_pq) if prebuilt_table else None)
     got = collect_matches(query, index, small_pq, **args)
     assert_same_matches(got, collect_matches_oracle(query, index, small_pq, **args))
-    if not asymmetric or tau == 0.05:
-        assert len(got)  # the comparison is not vacuous
+    assert len(got)  # the comparison is not vacuous
     assert_same_matches(collect_matches([], index, small_pq, **args),
                         collect_matches_oracle([], index, small_pq, **args))
 

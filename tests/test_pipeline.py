@@ -13,7 +13,8 @@ from frameseek.pipeline import (SIGNATURE_BLOCK_ROWS, _frame_blocks,
                                 check_compatible_local, query_global_file,
                                 query_local_file, train_codebooks)
 from frameseek.storage import (read_global_features, read_local_descriptors,
-                               write_global_features, write_local_descriptors)
+                               write_codebooks, write_global_features,
+                               write_local_descriptors)
 from frameseek.synth import SynthSpec, generate, write_corpus
 
 
@@ -215,6 +216,30 @@ def test_build_rejects_frame_id_repeated_across_files(trained, tmp_path, channel
     split = build([first, second], books, config)
     indexed = split.n_frames if channel == "local" else split.n_signatures
     assert indexed == len(frames)
+
+
+@pytest.mark.parametrize("channel", ["local", "global"])
+def test_training_rejects_frame_id_repeated_within_a_set(trained, tmp_path, channel):
+    paths, config, books = trained
+    _, write, suffix, _ = CHANNELS[channel]
+    frames = reference_frames(paths, channel)
+    first, second = tmp_path / ("a" + suffix), tmp_path / ("b" + suffix)
+    write(frames[:5], first)
+    write(frames[5:] + [(frames[2][0], 3, frames[2][2])], second)
+    sets = {"local": [paths["ref_local"]], "global": [paths["ref_global"]]}
+    sets[channel] = [first, second]
+    with pytest.raises(ValueError, match=f"b{suffix}: duplicate frame id {frames[2][0]}"):
+        train_codebooks(sets["local"], sets["global"], config)
+    if channel == "global":  # the PCA set is checked on its own
+        with pytest.raises(ValueError, match=f"b{suffix}: duplicate frame id {frames[2][0]}"):
+            train_codebooks([paths["ref_local"]], [paths["ref_global"]], config,
+                            pca_files=[first, second])
+    # disjoint ids split over two files train the same bundle as one file
+    write(frames[5:], second)
+    split = train_codebooks(sets["local"], sets["global"], config)
+    write_codebooks(split, tmp_path / "split.i2vc")
+    write_codebooks(books, tmp_path / "whole.i2vc")
+    assert (tmp_path / "split.i2vc").read_bytes() == (tmp_path / "whole.i2vc").read_bytes()
 
 
 @pytest.mark.parametrize("channel", ["local", "global"])

@@ -5,7 +5,8 @@ list, empty where nothing can match, and never raise: on a query with no
 rows, one keypoint, only stopped words, words the index does not hold, or
 live words without a hit above tau_pq, and on every query of a corpus with
 4 keypoints per frame (the shape of the `neardup-global` benchmark
-workload), in symmetric and asymmetric mode.
+workload). `local_rank` is checked both with the PQ score table handed in,
+as the benchmark and `query_local_file` call it, and building its own.
 """
 
 from dataclasses import fields
@@ -13,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from frameseek import (Postings, build_local_index, collect_matches,
+from frameseek import (PQScoreTable, Postings, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, local_rank,
                        query_score_mass)
 from frameseek.config import EngineConfig
@@ -69,10 +70,9 @@ def stopped_rows(books, index):
 def no_hit_rows(books, index):
     """Random descriptors: live words, but no posting shares all their codes."""
     rows = rows_at(np.random.default_rng(92).normal(size=(6, ROW_WIDTH - 4)), 4)
-    for asymmetric in (False, True):
-        query = encode_query_local(rows, books.bow, books.pq, keep_residuals=asymmetric)
-        assert query_score_mass(query, index) > 0.0
-        assert len(collect_matches(query, index, books.pq, NO_HIT_TAU, asymmetric=asymmetric)) == 0
+    query = encode_query_local(rows, books.bow, books.pq)
+    assert query_score_mass(query, index) > 0.0
+    assert len(collect_matches(query, index, books.pq, NO_HIT_TAU)) == 0
     return rows
 
 
@@ -80,14 +80,15 @@ def ref_rows(paths):
     return read_local_descriptors(paths["ref_local"])
 
 
-@pytest.mark.parametrize("asymmetric", [False, True])
-def test_local_rank_edge_queries(engine, asymmetric):
+@pytest.mark.parametrize("prebuilt_table", [False, True])
+def test_local_rank_edge_queries(engine, prebuilt_table):
     _, paths, config, books, index = engine
     frames = ref_rows(paths)
+    table = PQScoreTable(books.pq) if prebuilt_table else None
 
     def rank(rows, tau=config.tau_pq, against=index):
         ranked = local_rank(rows, against, books.bow, books.pq, tau_pq=tau,
-                            top_n=config.top_n, asymmetric=asymmetric)
+                            top_n=config.top_n, table=table)
         assert_valid(ranked, against, config.top_n)
         return ranked.entries
 
@@ -97,10 +98,11 @@ def test_local_rank_edge_queries(engine, asymmetric):
     assert rank(no_hit_rows(books, index), tau=NO_HIT_TAU) == []
 
 
-@pytest.mark.parametrize("asymmetric", [False, True])
-def test_local_rank_index_with_fewer_words_than_vocabulary(engine, asymmetric):
+@pytest.mark.parametrize("prebuilt_table", [False, True])
+def test_local_rank_index_with_fewer_words_than_vocabulary(engine, prebuilt_table):
     _, paths, config, books, _ = engine
     frames = ref_rows(paths)
+    table = PQScoreTable(books.pq) if prebuilt_table else None
     n_words = books.bow.k // 2
     postings = encode_frame_local(frames, books.bow, books.pq)
     keep = postings.word < n_words
@@ -111,35 +113,32 @@ def test_local_rank_index_with_fewer_words_than_vocabulary(engine, asymmetric):
     outside = rows_at(books.bow.centers[n_words:].astype(np.float64), 5)
     for rows in [outside] + [rows for _, _, rows in frames[:12]]:
         ranked = local_rank(rows, small, books.bow, books.pq, tau_pq=config.tau_pq,
-                            top_n=config.top_n, asymmetric=asymmetric)
+                            top_n=config.top_n, table=table)
         assert_valid(ranked, small, config.top_n)
-    assert local_rank(outside, small, books.bow, books.pq, asymmetric=asymmetric).entries == []
+    assert local_rank(outside, small, books.bow, books.pq, table=table).entries == []
 
 
-@pytest.mark.parametrize("asymmetric", [False, True])
-def test_query_local_file_edge_queries(engine, asymmetric):
+def test_query_local_file_edge_queries(engine):
     root, paths, config, books, index = engine
     one = ref_rows(paths)[0][2][:1]
-    path = root / f"edge-{asymmetric}.ldsc"
+    path = root / "edge.ldsc"
     write_local_descriptors([(1, 0, np.empty((0, ROW_WIDTH), dtype=np.float32)),
                              (2, 0, one), (3, 0, stopped_rows(books, index))], path)
-    runs = query_local_file(path, index, books, config, asymmetric=asymmetric)
+    runs = query_local_file(path, index, books, config)
     assert sorted(runs) == [1, 2, 3]
     for ranked in runs.values():
         assert_valid(ranked, index, config.top_n)
     assert runs[1].entries == [] and runs[3].entries == []
 
-    path = root / f"no-hit-{asymmetric}.ldsc"
+    path = root / "no-hit.ldsc"
     write_local_descriptors([(4, 0, no_hit_rows(books, index))], path)
-    runs = query_local_file(path, index, books, config.override(tau_pq=NO_HIT_TAU),
-                            asymmetric=asymmetric)
+    runs = query_local_file(path, index, books, config.override(tau_pq=NO_HIT_TAU))
     assert runs[4].entries == []
 
 
-@pytest.mark.parametrize("asymmetric", [False, True])
-def test_query_local_file_four_keypoint_corpus(engine, asymmetric):
+def test_query_local_file_four_keypoint_corpus(engine):
     _, paths, config, books, index = engine
-    runs = query_local_file(paths["query_local"], index, books, config, asymmetric=asymmetric)
+    runs = query_local_file(paths["query_local"], index, books, config)
     assert sorted(runs) == sorted(fid for fid, _, _ in read_local_descriptors(paths["query_local"]))
     for ranked in runs.values():
         assert_valid(ranked, index, config.top_n)
