@@ -25,37 +25,30 @@ def unpack_bits(packed: np.ndarray, n_bits: int) -> np.ndarray:
     return out[..., :n_bits]
 
 
-def popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr) if hasattr(np, "bitwise_count") else _POPCOUNT[arr]
+def pad_bits_clear(packed: np.ndarray, n_bits: int) -> bool:
+    """Whether the bits past n_bits of every packed code (last axis) are zero."""
+    return n_bits % 8 == 0 or not np.any(packed[..., -1] >> n_bits % 8)
+
+
+def _words(packed: np.ndarray) -> np.ndarray:
+    """Packed rows viewed as the widest words (up to 8 bytes) dividing their width."""
+    for word in (np.uint64, np.uint32, np.uint16):
+        if packed.shape[-1] % np.dtype(word).itemsize == 0:
+            return np.ascontiguousarray(packed).view(word)
+    return packed
 
 
 def hamming_to_many(query: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Hamming distances from one packed code to each row of a packed matrix."""
+    """Hamming distances from one packed code to each row of a packed matrix.
+
+    Every bit of the bytes counts, pad bits too, so stored codes keep them
+    zero (`pad_bits_clear`). This is the engine's one Hamming kernel.
+    """
     query = np.asarray(query, dtype=np.uint8)
     codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
     if codes.shape[1] != query.shape[0]:
         raise ValueError(f"bit-length mismatch: {query.shape[0]} vs {codes.shape[1]} bytes")
-    xor = np.bitwise_xor(codes, query[None, :])
-    return popcount(xor).sum(axis=1, dtype=np.int64)
-
-
-def hamming_cross(a: np.ndarray, b: np.ndarray, n_bits: int) -> np.ndarray:
-    """All-pairs Hamming distances between two packed code matrices.
-
-    Uses the identity d(x, y) = |x| + |y| - 2 x.y on unpacked bits so the
-    heavy lifting is a float32 matmul; rows of `a` are processed in chunks
-    to bound temporary memory.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
-    b_bits = unpack_bits(b, n_bits).astype(np.float32)
-    b_pop = b_bits.sum(axis=1)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(1, n_bits))
-    for lo in range(0, a.shape[0], chunk):
-        hi = min(lo + chunk, a.shape[0])
-        a_bits = unpack_bits(a[lo:hi], n_bits).astype(np.float32)
-        a_pop = a_bits.sum(axis=1)
-        dots = a_bits @ b_bits.T
-        out[lo:hi] = np.rint(a_pop[:, None] + b_pop[None, :] - 2.0 * dots).astype(np.int64)
-    return out
+    xor = np.bitwise_xor(_words(codes), _words(query))
+    # numpy < 2 has no bitwise_count: look up each byte of the words instead
+    counts = np.bitwise_count(xor) if hasattr(np, "bitwise_count") else _POPCOUNT[xor.view(np.uint8)]
+    return counts.sum(axis=1, dtype=np.int64)

@@ -31,8 +31,7 @@ def _cmd_train(args) -> int:
     config = _engine_config(
         args, d_bow=args.d_bow, m=args.m, d_pq=args.d_pq, d_fk=args.d_fk,
         pca_dim=args.pca_dim, binary_clusters=args.binary_clusters,
-        train_iters=args.iters, frame_width=args.frame_width,
-        frame_height=args.frame_height)
+        train_iters=args.iters)
     local_files = pipeline.collect_descriptor_files(args.features, ".ldsc")
     global_files = pipeline.collect_descriptor_files(args.features, ".gdsc")
     if not local_files or not global_files:
@@ -149,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", type=int, default=None)
     p.add_argument("--binary-clusters", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--frame-width", type=float, default=None)
-    p.add_argument("--frame-height", type=float, default=None)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 

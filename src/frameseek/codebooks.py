@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import hamming_cross, hamming_to_many, pack_bits, unpack_bits
+from .bits import hamming_to_many, pack_bits, pad_bits_clear, unpack_bits
 
 VARIANCE_FLOOR = 1e-6
 # Rows per block in nearest-center assignment: the (rows, k) float64 distance
@@ -167,7 +167,9 @@ class BinaryCenters:
 
     def __post_init__(self):
         self.centers = np.ascontiguousarray(np.atleast_2d(self.centers), dtype=np.uint8)
-        if np.unique(self.centers, axis=0).shape[0] != self.centers.shape[0]:
+        if not pad_bits_clear(self.centers, self.n_bits):
+            raise ValueError(f"binary centers set bits past n_bits = {self.n_bits}")
+        if len({center.tobytes() for center in self.centers}) != self.k:
             raise ValueError("duplicate binary centers")
 
     @property
@@ -220,6 +222,8 @@ def _plusplus_seeds(n: int, k: int, rng: np.random.Generator, lower_closest) -> 
             distance 0 from the seeds before k are drawn (fewer than k
             distinct rows).
     """
+    if n == 0:
+        raise ValueError("insufficient samples: need at least k distinct rows")
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
     closest = np.full(n, np.inf)
@@ -475,6 +479,11 @@ def gmm_train(samples: np.ndarray, n_components: int, iters: int = 50, seed: int
     return model
 
 
+def _hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) Hamming distances from packed codes to packed centers."""
+    return np.stack([hamming_to_many(center, codes) for center in centers], axis=1)
+
+
 def binary_centers_train(codes: np.ndarray, n_bits: int, k: int = 32,
                          iters: int = 20, seed: int = 0) -> BinaryCenters:
     """k-majority clustering in Hamming space.
@@ -482,7 +491,8 @@ def binary_centers_train(codes: np.ndarray, n_bits: int, k: int = 32,
     Assignment is by Hamming distance (ties to the lowest index); the center
     update takes the per-bit majority of each cluster (ties to bit 0), so the
     total Hamming objective is non-increasing. Empty clusters re-seed from
-    the codes farthest from their nearest center.
+    the codes farthest from their nearest center. Pad bits past n_bits in
+    the input are ignored.
 
     Args:
         codes: (n, ceil(n_bits / 8)) packed uint8 matrix.
@@ -490,75 +500,62 @@ def binary_centers_train(codes: np.ndarray, n_bits: int, k: int = 32,
         k: number of centers.
 
     Raises:
-        ValueError: fewer than k distinct codes.
+        ValueError: fewer than k distinct codes, as seeding finds them: its
+            draws stop at zero distance to every code.
     """
-    packed = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.uint8)
-    bits = unpack_bits(packed, n_bits)
-    n = bits.shape[0]
-    if np.unique(packed, axis=0).shape[0] < k:
-        raise ValueError("insufficient samples: need at least k distinct codes")
-
-    # on 0/1 vectors the squared distance is the Hamming distance, an integer
-    # that float64 holds exactly, so seeding on the packed codes draws the
-    # same rows as seeding on float64 copies of the bits; repacking zeroes
-    # any pad bits past n_bits, which the distance must not count
-    clean = pack_bits(bits)
+    # the bits feed only the per-cluster bit counts; repacking them zeroes any
+    # pad bits, which no distance may count. On 0/1 vectors the squared
+    # distance is the Hamming distance, an integer that float64 holds
+    # exactly, so seeding on the packed codes draws the same rows as seeding
+    # on float64 copies of the bits.
+    bits = unpack_bits(np.atleast_2d(codes), n_bits)
+    packed = pack_bits(bits)
     rng = np.random.default_rng(seed)
-    centers = bits[_plusplus_seeds(
-        n, k, rng, lambda i, closest: np.minimum(closest, hamming_to_many(clean[i], clean),
-                                                 out=closest))]
+    centers = packed[_plusplus_seeds(
+        len(packed), k, rng,
+        lambda i, closest: np.minimum(closest, hamming_to_many(packed[i], packed), out=closest))]
 
     trace = []
     for _ in range(max(1, iters)):
-        dists = hamming_cross(packed, pack_bits(centers), n_bits)
+        dists = _hamming_to_centers(packed, centers)
         assign = np.argmin(dists, axis=1)
-        trace.append(float(dists[np.arange(n), assign].sum()))
-        new_centers = np.zeros_like(centers)
+        nearest = dists.min(axis=1)
+        trace.append(float(nearest.sum()))
         counts = np.bincount(assign, minlength=k)
-        for j in range(k):
-            members = bits[assign == j]
-            if members.shape[0]:
-                ones = members.sum(axis=0, dtype=np.int64)
-                new_centers[j] = (2 * ones > members.shape[0]).astype(np.uint8)
+        majority = np.zeros((k, n_bits), dtype=np.uint8)
+        for j in np.flatnonzero(counts):
+            majority[j] = 2 * bits[assign == j].sum(axis=0, dtype=np.int64) > counts[j]
+        centers = pack_bits(majority)
         empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            farthest = np.argsort(-dists[np.arange(n), assign], kind="stable")
-            for slot, idx in zip(empties, farthest[: empties.size]):
-                new_centers[slot] = bits[idx]
-        centers = new_centers
+        centers[empties] = packed[np.argsort(-nearest, kind="stable")[: empties.size]]
 
-    packed_centers = _dedupe_centers(pack_bits(centers), packed, n_bits)
-    model = BinaryCenters(centers=packed_centers, n_bits=n_bits)
+    model = BinaryCenters(centers=_dedupe_centers(centers, packed), n_bits=n_bits)
     model.objective_trace = np.asarray(trace)
     return model
 
 
-def _dedupe_centers(packed_centers: np.ndarray, packed_codes: np.ndarray,
-                    n_bits: int) -> np.ndarray:
-    """Replace colliding centers with distinct far-away codes (type requires
-    all centers distinct; collisions are rare but possible on tiny inputs)."""
-    k = packed_centers.shape[0]
-    _, first = np.unique(packed_centers, axis=0, return_index=True)
-    dup_slots = sorted(set(range(k)) - set(int(i) for i in first))
-    if not dup_slots:
-        return packed_centers
-    used = {packed_centers[i].tobytes() for i in first}
-    dists = hamming_cross(packed_codes, packed_centers, n_bits)
-    order = np.argsort(-dists.min(axis=1), kind="stable")
-    cursor = 0
-    for slot in dup_slots:
-        while cursor < order.size and packed_codes[order[cursor]].tobytes() in used:
-            cursor += 1
-        if cursor >= order.size:
-            raise ValueError("insufficient distinct codes to separate centers")
-        packed_centers[slot] = packed_codes[order[cursor]]
-        used.add(packed_centers[slot].tobytes())
-    return packed_centers
+def _dedupe_centers(centers: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Replace each repeat of an earlier center with the unused code farthest
+    from every center (the type requires distinct centers; repeats are rare
+    but possible on tiny inputs)."""
+    used = {center.tobytes() for center in centers}
+    if len(used) == len(centers):
+        return centers
+    far = iter(np.argsort(-_hamming_to_centers(codes, centers).min(axis=1), kind="stable"))
+    seen: set[bytes] = set()
+    for slot, center in enumerate(centers):
+        if center.tobytes() in seen:
+            code = next((codes[i] for i in far if codes[i].tobytes() not in used), None)
+            if code is None:
+                raise ValueError("insufficient distinct codes to separate centers")
+            centers[slot] = code
+            used.add(code.tobytes())
+        seen.add(center.tobytes())
+    return centers
 
 
 def binary_assign_batch(centers: BinaryCenters, codes: np.ndarray) -> np.ndarray:
-    dists = hamming_cross(codes, centers.centers, centers.n_bits)
-    return np.argmin(dists, axis=1).astype(np.int64)
+    return np.argmin(_hamming_to_centers(codes, centers.centers), axis=1)
 
 
 @dataclass

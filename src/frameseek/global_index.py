@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import pack_bits, packed_length
+from .bits import pack_bits, packed_length, pad_bits_clear
 from .codebooks import BinaryCenters, GMMModel, binary_assign_batch, gmm_posteriors
 
 
@@ -104,8 +104,9 @@ def build_global_index(frame_ids: np.ndarray, video_ids: np.ndarray, codes: np.n
     by frame id, frames with equal ids in input order.
 
     Raises:
-        ValueError: no codes, columns of unequal length, or codes whose
-            width does not match the cluster centers' bit length.
+        ValueError: no codes, columns of unequal length, codes whose width
+            does not match the cluster centers' bit length, or a code with
+            a bit set past that length.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     n = codes.shape[0]
@@ -116,6 +117,8 @@ def build_global_index(frame_ids: np.ndarray, video_ids: np.ndarray, codes: np.n
     if codes.ndim != 2 or codes.shape[1] != packed_length(centers.n_bits):
         raise ValueError(f"bit-length mismatch: codes have {codes.shape[1:]} bytes, "
                          f"centers have {centers.n_bits} bits")
+    if not pad_bits_clear(codes, centers.n_bits):
+        raise ValueError(f"a code sets bits past the centers' {centers.n_bits}-bit length")
     frame = np.asarray(frame_ids, dtype=np.uint32)
     assign = binary_assign_batch(centers, codes)
     order = np.lexsort((frame, assign))

@@ -37,6 +37,7 @@ from .storage import read_global_features, read_local_descriptors
 # A frame larger than the row budget is a block of its own.
 SIGNATURE_BLOCK_ROWS = 256
 SIGNATURE_BLOCK_FLOATS = 1 << 18
+_NO_PCA_FEATURES = "no input files: no PCA features (.gdsc) to train on"
 
 
 def _sample_index(n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,9 +140,11 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
     ids must be unique within each of the three sets, not across them.
 
     Raises:
-        ValueError: a set holds no frames (pca_files only when given), or a
-            frame id repeats within a set.
+        ValueError: a set holds no frames (pca_files only when given; an
+            empty list fails before any training), or an id repeats in a set.
     """
+    if pca_files is not None and not pca_files:
+        raise ValueError(_NO_PCA_FEATURES)
     rng = np.random.default_rng(config.seed)
 
     frames = _read_frames(local_files, read_local_descriptors)
@@ -166,7 +169,7 @@ def train_codebooks(local_files: list[Path], global_files: list[Path],
     if pca_files is not None:
         pca_frames = _read_frames(pca_files, read_global_features)
         if not pca_frames:
-            raise ValueError("no input files: no PCA features (.gdsc) to train on")
+            raise ValueError(_NO_PCA_FEATURES)
     pca = pca_fit(_sample_rows(pca_frames, config.max_train_samples, rng), config.pca_dim)
     del pca_frames
     projected = pca_project(pca, _sample_rows(frames, config.max_train_samples, rng))

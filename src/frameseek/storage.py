@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import packed_length
+from .bits import packed_length, pad_bits_clear
 from .codebooks import (BinaryCenters, CodebookSet, GMMModel, KMeansModel,
                         PCAModel, PQModel)
 from .geometry import FrameGeometry
@@ -85,6 +85,15 @@ class _Reader:
         """The next `count` items of `dtype`, copied out of the file bytes."""
         dtype = np.dtype(dtype)
         return np.frombuffer(self.take(count * dtype.itemsize), dtype=dtype).copy()
+
+    def codes(self, count: int, n_bits: int) -> np.ndarray:
+        """The next `count` packed n_bits-bit codes, rows whose pad bits are zero."""
+        width = packed_length(n_bits)
+        codes = self.array(np.uint8, count * width).reshape(count, width)
+        if not pad_bits_clear(codes, n_bits):
+            raise FileFormatError(f"{self.path}: a binary code sets bits past "
+                                  f"its {n_bits}-bit length")
+        return codes
 
     def done(self) -> bool:
         return self.pos >= len(self.buf)
@@ -184,8 +193,7 @@ def read_codebooks(path: str | Path) -> CodebookSet:
                                    variances=r.array("<f4", k * d).reshape(k, d).astype(np.float64))
         elif kind == _KIND_BINARY:
             k, n_bits = r.u32(), r.u32()
-            centers = r.array(np.uint8, k * packed_length(n_bits)).reshape(k, packed_length(n_bits))
-            parts[kind] = BinaryCenters(centers=centers, n_bits=n_bits)
+            parts[kind] = BinaryCenters(centers=r.codes(k, n_bits), n_bits=n_bits)
         else:
             raise FileFormatError(f"{r.path}: unknown model kind tag {kind}")
     missing = {_KIND_KMEANS, _KIND_PQ, _KIND_PCA, _KIND_GMM, _KIND_BINARY} - set(parts)
@@ -449,16 +457,14 @@ def write_global_index(index: GlobalIndex, path: str | Path) -> None:
 def read_global_index(path: str | Path) -> GlobalIndex:
     r = _open_checked(path, MAGIC_GLOBAL_INDEX)
     n_bits, n_gmm, n_centers = r.u32(), r.u32(), r.u32()
-    width = packed_length(n_bits)
-    centers = BinaryCenters(centers=r.array(np.uint8, n_centers * width).reshape(n_centers, width),
-                            n_bits=n_bits)
+    centers = BinaryCenters(centers=r.codes(n_centers, n_bits), n_bits=n_bits)
     clusters = []
     for _ in range(n_centers):
         count = r.u32()
         clusters.append({
             "frame": r.array("<u4", count),
             "video": r.array("<u4", count),
-            "codes": r.array(np.uint8, count * width).reshape(count, width),
+            "codes": r.codes(count, n_bits),
         })
     r.expect_end()
     return GlobalIndex(n_bits=n_bits, n_gmm_components=n_gmm, centers=centers,

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from frameseek.cli import main
-from frameseek.storage import (read_global_features, read_local_descriptors,
-                               read_local_index, read_run, write_global_features,
+from frameseek.storage import (read_global_features, read_global_index,
+                               read_local_descriptors, read_local_index, read_run,
+                               write_global_features, write_global_index,
                                write_local_descriptors, write_local_index)
 
 
@@ -216,6 +217,17 @@ def test_pca_features_without_gdsc_files_clean_error(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--frame-width", "--frame-height"])
+def test_train_rejects_frame_geometry_flags(workspace, tmp_path, capsys, flag):
+    # training reads no geometry; index-local and query-local take these flags
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--features", str(workspace["corpus"]), "--out", str(tmp_path / "b.i2vc"),
+              flag, "640"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 640" in capsys.readouterr().err
+    assert not (tmp_path / "b.i2vc").exists()
+
+
 def test_threads_do_not_change_output(workspace, tmp_path):
     one = tmp_path / "t1.run"
     four = tmp_path / "t4.run"
@@ -273,4 +285,22 @@ def test_local_index_with_unknown_frame_clean_error(workspace, tmp_path, capsys)
     assert rc != 0
     assert err.startswith("error=") and "\n" not in err.strip()
     assert f"{bad}: posting frame id 1000 is not in the frame table" in err
+    assert not (tmp_path / "x.run").exists()
+
+
+def test_global_index_with_pad_bits_clean_error(workspace, tmp_path, capsys):
+    # TRAIN_FLAGS give 2 x 6 = 12-bit signatures, 4 pad bits in each last byte
+    index = read_global_index(workspace["global_idx"])
+    assert index.n_bits == 12
+    for cluster in index.clusters:
+        cluster["codes"] = cluster["codes"] | np.array([0, 0xF0], dtype=np.uint8)
+    bad = tmp_path / "pad.gidx"
+    write_global_index(index, bad)
+    rc = main(["query-global", "--index", str(bad), "--codebooks", str(workspace["books"]),
+               "--query", str(workspace["corpus"] / "queries.gdsc"),
+               "--out", str(tmp_path / "x.run")])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error=") and "\n" not in err.strip()
+    assert f"{bad}: a binary code sets bits past its 12-bit length" in err
     assert not (tmp_path / "x.run").exists()

@@ -418,6 +418,11 @@ def test_binary_insufficient_distinct_codes():
         binary_centers_train(codes, 8, k=3, iters=5, seed=0)
 
 
+def test_binary_no_codes_is_insufficient():
+    with pytest.raises(ValueError, match="insufficient samples"):
+        binary_centers_train(np.zeros((0, 2), dtype=np.uint8), 12, k=2, iters=5, seed=0)
+
+
 def test_binary_centers_distinct_even_on_tiny_inputs():
     gen = np.random.default_rng(24)
     bits = np.vstack([np.zeros((40, 16)), np.tile(gen.integers(0, 2, size=(4, 16)), (2, 1))])
@@ -433,6 +438,45 @@ def test_binary_assign_is_exhaustive_argmin():
     for code, cluster in zip(codes, binary_assign_batch(centers, codes)):
         dists = hamming_to_many(code, centers.centers)
         assert cluster == int(np.argmin(dists))
+
+
+def test_binary_centers_reject_pad_bits():
+    centers = pack_bits(np.eye(3, 12, dtype=np.uint8))
+    BinaryCenters(centers=centers, n_bits=12)
+    dirty = centers.copy()
+    dirty[2, 1] |= 0x80  # bit 15 of a 12-bit center
+    with pytest.raises(ValueError, match="bits past n_bits = 12"):
+        BinaryCenters(centers=dirty, n_bits=12)
+
+
+def no_unique(*args, **kwargs):
+    raise AssertionError("np.unique called")
+
+
+def test_binary_training_unpacks_once_and_never_sorts_rows(monkeypatch):
+    gen = np.random.default_rng(24)
+    bits = np.vstack([np.zeros((40, 16)), np.tile(gen.integers(0, 2, size=(4, 16)), (2, 1))])
+    want = binary_centers_train(pack_bits(bits.astype(np.uint8)), 16, k=4, iters=10, seed=24)
+    calls = []
+
+    def counted_unpack(*args):
+        calls.append(args)
+        return unpack_bits(*args)
+
+    monkeypatch.setattr(codebooks, "unpack_bits", counted_unpack)
+    monkeypatch.setattr(np, "unique", no_unique)
+    got = binary_centers_train(pack_bits(bits.astype(np.uint8)), 16, k=4, iters=10, seed=24)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got.centers, want.centers)
+
+
+def test_colliding_centers_take_the_farthest_unused_codes(monkeypatch):
+    monkeypatch.setattr(np, "unique", no_unique)
+    codes = pack_bits(np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1]],
+                               dtype=np.uint8))
+    centers = codes[[0, 0, 3, 3]]
+    # nearest-center distances of the codes are 0, 3, 2 and 0
+    np.testing.assert_array_equal(codebooks._dedupe_centers(centers, codes), codes[[0, 1, 3, 2]])
 
 
 def float64_seeds(bits):

@@ -166,6 +166,14 @@ def test_assignments_match_exhaustive_argmin():
             assert j == int(np.argmin(hamming_to_many(code, centers.centers)))
 
 
+def test_codes_with_pad_bits_rejected():
+    centers = BinaryCenters(centers=packed(np.eye(2, 12)), n_bits=12)
+    codes = packed(np.zeros((3, 12)))
+    codes[1, 1] |= 0x10  # bit 12 of a 12-bit code
+    with pytest.raises(ValueError, match="bits past the centers' 12-bit length"):
+        build_global_index([0, 1, 2], [0, 0, 1], codes, centers)
+
+
 def test_bit_length_mismatch_rejected():
     gen = np.random.default_rng(98)
     centers = make_centers(gen, n_bits=64)

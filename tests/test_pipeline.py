@@ -52,6 +52,17 @@ def test_training_on_featureless_global_frames_names_the_cause(trained, tmp_path
         train_codebooks([paths["ref_local"]], [empty], config)
 
 
+def test_empty_pca_set_fails_before_any_training(trained, monkeypatch):
+    paths, config, _ = trained
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("k-means ran before the PCA set was checked")
+
+    monkeypatch.setattr(pipeline, "kmeans_train", no_training)
+    with pytest.raises(ValueError, match=r"no PCA features \(\.gdsc\) to train on"):
+        train_codebooks([paths["ref_local"]], [paths["ref_global"]], config, pca_files=[])
+
+
 def test_compatibility_error_names_both_parameter_sets(trained):
     paths, config, books = trained
     local_index = build_local_index_from_files([paths["ref_local"]], books, config)

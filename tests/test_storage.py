@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frameseek import (CodebookSet, FrameGeometry, KMeansModel, LocalRecord, PQModel, Postings,
-                       binary_centers_train, build_global_index,
+from frameseek import (BinaryCenters, CodebookSet, FrameGeometry, KMeansModel, LocalRecord,
+                       PQModel, Postings, binary_centers_train, build_global_index,
                        build_local_index, encode_frame_local, gmm_train,
                        make_signature, pca_fit, pq_train, records_to_rows)
 from frameseek.bits import pack_bits, packed_length
@@ -100,6 +100,20 @@ def test_codebooks_more_than_256_pq_centers_rejected(tmp_path, books):
                                 binary_centers=books.binary_centers), p)
     with pytest.raises(FileFormatError, match=rf"^{re.escape(str(p))}: PQ block has 300 centers "
                                               r"per subspace, outside \[2, 256\]"):
+        read_codebooks(p)
+
+
+def test_codebooks_binary_center_pad_bits_rejected(tmp_path, books):
+    centers = BinaryCenters(centers=pack_bits(np.eye(4, 12, dtype=np.uint8)), n_bits=12)
+    p = tmp_path / "pad.i2vc"
+    write_codebooks(CodebookSet(bow=books.bow, pq=books.pq, pca=books.pca, gmm=books.gmm,
+                                binary_centers=centers), p)
+    np.testing.assert_array_equal(read_codebooks(p).binary_centers.centers, centers.centers)
+    data = bytearray(p.read_bytes())
+    data[-1] |= 0x10  # the binary block comes last: bit 12 of the last center
+    p.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(p))}: a binary code sets "
+                                              r"bits past its 12-bit length"):
         read_codebooks(p)
 
 
@@ -519,6 +533,27 @@ def test_global_index_roundtrip(tmp_path):
     assert loaded.n_bits == 48 and loaded.n_gmm_components == 6
     for a, b in zip(loaded.clusters, index.clusters):
         np.testing.assert_array_equal(a["codes"], b["codes"])
+
+
+@pytest.mark.parametrize("where", ["centers", "codes"])
+def test_global_index_pad_bits_rejected(tmp_path, where):
+    gen = np.random.default_rng(121)
+    centers = BinaryCenters(centers=pack_bits(np.eye(4, 12, dtype=np.uint8)), n_bits=12)
+    index = build_global_index(np.arange(10), np.arange(10) % 3,
+                               pack_bits(gen.integers(0, 2, size=(10, 12)).astype(np.uint8)),
+                               centers)
+    p = tmp_path / "pad.gidx"
+    if where == "codes":  # every stored code sets its 4 pad bits
+        for cluster in index.clusters:
+            cluster["codes"] = cluster["codes"] | np.array([0, 0xF0], dtype=np.uint8)
+    write_global_index(index, p)
+    if where == "centers":
+        data = bytearray(p.read_bytes())
+        data[18 + 1] |= 0x80  # after the 18-byte header: bit 15 of the first center
+        p.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(p))}: a binary code sets "
+                                              r"bits past its 12-bit length"):
+        read_global_index(p)
 
 
 @pytest.fixture(scope="module")
