@@ -16,9 +16,20 @@ import numpy as np
 from .bits import hamming_to_many, pack_bits, pad_bits_clear, unpack_bits
 
 VARIANCE_FLOOR = 1e-6
-# Rows per block in nearest-center assignment: the (rows, k) float64 distance
-# block, not an (n, k) matrix, bounds its memory.
-ASSIGN_BLOCK_ROWS = 1024
+# Float64 entries in one (rows, k) block of nearest-center distances or GMM
+# log densities: 2^15 floats are 256 KiB, so a block, its norm sums and the
+# centers stay in a 2 MiB per-core L2 cache, and memory grows with the block,
+# never with n * k. On a Xeon with 2 MiB of L2 per core, encoding at the
+# benchmark's shapes ran 10-25% faster than with 2^17 and no slower than
+# with 2^13 or 2^14.
+BLOCK_FLOATS = 1 << 15
+# Fewest rows a block may be given (`_row_spans`). OpenBLAS 0.3 on x86-64
+# rounds a product of a few rows differently from the same rows inside a
+# larger product: a sweep saw differences up to 75 rows at (d, k) = (64, 16),
+# 18 at (64, 64), 9 at (128, 128), 4 at (128, 256) and 1 at (128, 10000).
+# Blocks far above that make every fixed-seed output independent of how the
+# rows are blocked.
+BLOCK_MIN_ROWS = 128
 # Slack of the k-means++ distance screen, relative to |x|^2 + |y|^2. A float64
 # dot product of length d errs by at most about d * 2^-53 * sum_k |x_k y_k|,
 # in any summation order, so the screened and the exact squared distance
@@ -32,20 +43,29 @@ class KMeansModel:
     """k centers over d dimensions; `objective_trace` records training only.
 
     Centers are held in float32, matching the on-disk codebook precision, so
-    a freshly trained model and a reloaded one behave identically.
+    a freshly trained model and a reloaded one behave identically. They are
+    a read-only copy, so the derived `center_terms` cannot go stale.
     """
 
     centers: np.ndarray  # (k, d) float32
     objective_trace: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.centers = np.ascontiguousarray(self.centers, dtype=np.float32)
+        self.centers = _read_only(np.array(self.centers, dtype=np.float32, order="C"))
         if self.centers.ndim != 2 or self.centers.shape[0] < 1:
             raise ValueError("centers must be a non-empty 2-d matrix")
         if not np.all(np.isfinite(self.centers)):
             raise ValueError("centers must be finite")
         if np.unique(self.centers, axis=0).shape[0] != self.centers.shape[0]:
             raise ValueError("duplicate centers")
+
+    @cached_property
+    def center_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (k, d) centers in float64 and their (k,) squared norms: what
+        `_nearest_centers` needs besides the rows. Derived on first use and
+        kept, so a one-frame query does not pay for them."""
+        centers = _read_only(self.centers.astype(np.float64))
+        return centers, np.einsum("ij,ij->i", centers, centers)
 
     @property
     def k(self) -> int:
@@ -93,19 +113,30 @@ class PQModel:
 
 @dataclass
 class PCAModel:
-    """Affine projection onto the top principal directions (no whitening)."""
+    """Affine projection onto the top principal directions (no whitening).
+
+    The mean and basis are read-only copies, so the derived
+    `projection_terms` cannot go stale.
+    """
 
     mean: np.ndarray  # (d_in,) float32
     basis: np.ndarray  # (d_out, d_in) float32, orthonormal rows
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float32)
-        self.basis = np.ascontiguousarray(self.basis, dtype=np.float32)
+        self.mean = _read_only(np.array(self.mean, dtype=np.float32))
+        self.basis = _read_only(np.array(self.basis, dtype=np.float32, order="C"))
         if self.basis.shape[0] > self.basis.shape[1]:
             raise ValueError("d_out must not exceed d_in")
-        gram = self.basis.astype(np.float64) @ self.basis.astype(np.float64).T
-        if not np.allclose(gram, np.eye(self.basis.shape[0]), atol=1e-6):
+        basis, _ = self.projection_terms
+        if not np.allclose(basis @ basis.T, np.eye(self.basis.shape[0]), atol=1e-6):
             raise ValueError("basis rows must be orthonormal")
+
+    @cached_property
+    def projection_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis and the mean in float64: what `pca_project` needs
+        besides the vectors, derived once per model."""
+        return (_read_only(self.basis.astype(np.float64)),
+                _read_only(self.mean.astype(np.float64)))
 
     @property
     def d_in(self) -> int:
@@ -177,6 +208,11 @@ class BinaryCenters:
         return self.centers.shape[0]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances via the expansion identity."""
     p_norm = np.einsum("ij,ij->i", points, points)
@@ -186,27 +222,62 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _row_spans(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of near-equal blocks of at most ASSIGN_BLOCK_ROWS rows.
+def _row_spans(n: int, k: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of near-equal blocks of n rows whose (rows, k) float64
+    block holds about BLOCK_FLOATS entries, and never fewer than
+    BLOCK_MIN_ROWS rows.
 
     The blocks are of near-equal size rather than full blocks plus a short
-    tail: BLAS rounds a product of a few rows differently from the same rows
-    inside a larger product, and near-equal blocks keep every block large.
+    tail, so when n needs more than one block each holds at least half the
+    cap, 64 rows or more, and BLAS rounds each row as a larger product would.
     """
-    n_blocks = max(1, -(-n // ASSIGN_BLOCK_ROWS))
+    n_blocks = max(1, -(-n // max(BLOCK_MIN_ROWS, BLOCK_FLOATS // k)))
     return [(b * n // n_blocks, (b + 1) * n // n_blocks) for b in range(n_blocks)]
 
 
-def _nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_centers(points: np.ndarray, centers: np.ndarray,
+                     center_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center of each row (lowest index on ties) and its squared
-    distance, computed over row blocks (`_row_spans`)."""
-    n = points.shape[0]
+    distance (|x|^2 + |c|^2) - 2 x.c clipped at 0, the one nearest-center
+    search of k-means, word assignment and PQ encoding.
+
+    `center_sq` holds the centers' squared norms. The rows run in blocks
+    (`_row_spans`); when there are several, each block's distances and
+    norm sums go into two buffers made once per call, so no block
+    allocates a fresh (rows, k) array.
+    """
+    n, k = points.shape[0], centers.shape[0]
+    spans = _row_spans(n, k)
+    point_sq = np.einsum("ij,ij->i", points, points)
+    if len(spans) == 1:
+        return _nearest_in_block(points, centers, center_sq, point_sq)
+    rows = -(-n // len(spans))
+    d2_buffer, sum_buffer = np.empty((rows, k)), np.empty((rows, k))
     assign = np.empty(n, dtype=np.int64)
     nearest = np.empty(n, dtype=np.float64)
-    for lo, hi in _row_spans(n):
-        d2 = _squared_distances(points[lo:hi], centers)
-        assign[lo:hi] = np.argmin(d2, axis=1)
-        nearest[lo:hi] = d2[np.arange(hi - lo), assign[lo:hi]]
+    for lo, hi in spans:
+        assign[lo:hi], nearest[lo:hi] = _nearest_in_block(
+            points[lo:hi], centers, center_sq, point_sq[lo:hi],
+            d2_buffer[:hi - lo], sum_buffer[:hi - lo])
+    return assign, nearest
+
+
+def _nearest_in_block(block: np.ndarray, centers: np.ndarray, center_sq: np.ndarray,
+                      point_sq: np.ndarray, d2_out: np.ndarray | None = None,
+                      sum_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`_nearest_centers` on one block: one matrix product, doubled and
+    subtracted in place. Only a row whose minimum is negative is clipped:
+    it takes the first center at or below 0 and the distance 0, as the
+    argmin of the clipped row would."""
+    d2 = np.matmul(block, centers.T, out=d2_out)
+    d2 *= 2.0
+    np.subtract(np.add(point_sq[:, None], center_sq, out=sum_out), d2, out=d2)
+    assign = d2.argmin(axis=1)
+    nearest = d2[np.arange(assign.shape[0]), assign]
+    negative = nearest < 0.0
+    if negative.any():
+        assign[negative] = (d2[negative] <= 0.0).argmax(axis=1)
+        nearest[negative] = 0.0
     return assign, nearest
 
 
@@ -282,7 +353,7 @@ def kmeans_train(samples: np.ndarray, k: int, iters: int = 25, seed: int = 0) ->
     columns = samples.T.copy()
     trace = []
     for _ in range(max(1, iters)):
-        assign, nearest = _nearest_centers(samples, centers)
+        assign, nearest = _nearest_centers(samples, centers, np.einsum("ij,ij->i", centers, centers))
         trace.append(float(nearest.sum()))
         counts = np.bincount(assign, minlength=k)
         # bincount adds each center's rows in row order, as np.add.at does,
@@ -314,8 +385,8 @@ def kmeans_assign_batch(model: KMeansModel, vectors: np.ndarray) -> tuple[np.nda
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vectors.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: vectors have {vectors.shape[1]} dims, model expects {model.d}")
-    centers = model.centers.astype(np.float64)
-    words, _ = _nearest_centers(vectors, centers)
+    centers, center_sq = model.center_terms
+    words, _ = _nearest_centers(vectors, centers, center_sq)
     return words, vectors - centers[words]
 
 
@@ -353,9 +424,8 @@ def pq_encode_batch(model: PQModel, residuals: np.ndarray) -> np.ndarray:
     codes = np.empty((residuals.shape[0], model.m), dtype=np.uint8)
     sub_dim = model.sub_dim
     for j, sub in enumerate(model.sub_models):
-        d2 = _squared_distances(residuals[:, j * sub_dim:(j + 1) * sub_dim],
-                                sub.centers.astype(np.float64))
-        codes[:, j] = np.argmin(d2, axis=1).astype(np.uint8)
+        codes[:, j], _ = _nearest_centers(residuals[:, j * sub_dim:(j + 1) * sub_dim],
+                                          *sub.center_terms)
     return codes
 
 
@@ -391,8 +461,7 @@ def pca_project(model: PCAModel, v: np.ndarray) -> np.ndarray:
     batches: basis . (v - mean). numpy multiplies a stack one batch at a
     time, so each batch projects as it would alone."""
     v = np.asarray(v, dtype=np.float64)
-    basis = model.basis.astype(np.float64)
-    mean = model.mean.astype(np.float64)
+    basis, mean = model.projection_terms
     if v.ndim == 1:
         return basis @ (v - mean)
     return (v - mean) @ basis.T
@@ -419,7 +488,8 @@ def gmm_log_posteriors(model: GMMModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     def log_joint(block):
         return (block * block) @ neg_half_precision.T + block @ scaled_means.T + offset
 
-    blocks = [log_joint(x[..., lo:hi, :]) for lo, hi in _row_spans(x.shape[-2])]
+    blocks = [log_joint(x[..., lo:hi, :])
+              for lo, hi in _row_spans(x.shape[-2], model.n_components)]
     joint = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
     del blocks
     peak = joint.max(axis=-1, keepdims=True)
@@ -447,8 +517,8 @@ def gmm_train(samples: np.ndarray, n_components: int, iters: int = 50, seed: int
     rng = np.random.default_rng(seed)
 
     km = kmeans_train(samples, n_components, iters=10, seed=seed)
-    means = km.centers.astype(np.float64).copy()
-    assign, _ = _nearest_centers(samples, means)
+    assign, _ = _nearest_centers(samples, *km.center_terms)
+    means = km.center_terms[0].copy()
     weights = np.maximum(np.bincount(assign, minlength=n_components).astype(np.float64), 1.0)
     weights /= weights.sum()
     global_var = np.maximum(samples.var(axis=0), VARIANCE_FLOOR)
@@ -536,8 +606,8 @@ def binary_centers_train(codes: np.ndarray, n_bits: int, k: int = 32,
 
 def _dedupe_centers(centers: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Replace each repeat of an earlier center with the unused code farthest
-    from every center (the type requires distinct centers; repeats are rare
-    but possible on tiny inputs)."""
+    from every center. The type requires distinct centers, and two clusters
+    can share one per-bit majority (tests/test_codebooks.py builds a case)."""
     used = {center.tobytes() for center in centers}
     if len(used) == len(centers):
         return centers

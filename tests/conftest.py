@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import math
 import struct
@@ -7,15 +8,42 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameseek import (FrameGeometry, GlobalIndex, HoughConfig, LocalIndex,
-                       Matches, PQScoreTable, Postings, kmeans_train,
+from frameseek import (EngineConfig, FrameGeometry, GlobalIndex, HoughConfig,
+                       LocalIndex, Matches, PQScoreTable, Postings, kmeans_train,
                        make_signature, pca_project, pq_train, probe_candidates,
                        wrap_angle)
 from frameseek.bits import packed_length
-from frameseek.codebooks import _nearest_centers, gmm_log_posteriors
+from frameseek.codebooks import _row_spans, gmm_log_posteriors
 from frameseek.fusion import GLOBAL, RankedList, rank_videos
 from frameseek.geometry import dequantize_log_scale, dequantize_theta
-from frameseek.local_index import POSTING_DTYPES
+from frameseek.local_index import DESCRIPTOR_DIM, POSTING_DTYPES
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_configs():
+    """The EngineConfig of each benchmark workload, by name, and of the
+    published defaults."""
+    configs = {name: EngineConfig(**w.config)
+               for name, w in load_bench_module("workloads").WORKLOADS.items()}
+    return {**configs, "defaults": EngineConfig()}
+
+
+def nearest_center_shapes():
+    """(d, k) of every nearest-center search that training and encoding run
+    at the workloads' and the published defaults' settings: descriptors
+    against the vocabulary, PQ sub-vectors against their subquantizer and
+    projected features against the GMM's k-means start."""
+    return sorted({shape for c in workload_configs().values()
+                   for shape in ((DESCRIPTOR_DIM, c.d_bow), (DESCRIPTOR_DIM // c.m, c.d_pq),
+                                 (c.pca_dim, c.d_fk))})
 
 
 @pytest.fixture(scope="session")
@@ -309,16 +337,37 @@ def plusplus_seeds_oracle(samples, k, rng):
     return seeds
 
 
+def nearest_centers_oracle(points, centers):
+    """Nearest center of each row (lowest index on ties) and its squared
+    distance from the full expansion |x|^2 + |c|^2 - 2 x.c, every entry
+    clipped at 0, then an argmin: the arithmetic of the engine's kernel
+    with none of its shortcuts. It runs over the engine's row blocks
+    (`_row_spans`), so BLAS rounds each product as the engine's does."""
+    n = points.shape[0]
+    assign = np.empty(n, dtype=np.int64)
+    nearest = np.empty(n, dtype=np.float64)
+    for lo, hi in _row_spans(n, centers.shape[0]):
+        block = points[lo:hi]
+        p_norm = np.einsum("ij,ij->i", block, block)
+        c_norm = np.einsum("ij,ij->i", centers, centers)
+        d2 = p_norm[:, None] + c_norm[None, :] - 2.0 * (block @ centers.T)
+        np.maximum(d2, 0.0, out=d2)
+        assign[lo:hi] = np.argmin(d2, axis=1)
+        nearest[lo:hi] = d2[np.arange(hi - lo), assign[lo:hi]]
+    return assign, nearest
+
+
 def kmeans_train_oracle(samples, k, iters=25, seed=0):
     """Lloyd's k-means as `kmeans_train` ran it before the seeding screen:
     seeds from `plusplus_seeds_oracle` (a full difference pass and
-    `rng.choice` per draw) and centroid sums through `np.add.at`. Returns
-    (float32 centers, objective trace)."""
+    `rng.choice` per draw), assignment through `nearest_centers_oracle` and
+    centroid sums through `np.add.at`. Returns (float32 centers, objective
+    trace)."""
     samples = np.asarray(samples, dtype=np.float64)
     centers = plusplus_seeds_oracle(samples, k, np.random.default_rng(seed))
     trace = []
     for _ in range(max(1, iters)):
-        assign, nearest = _nearest_centers(samples, centers)
+        assign, nearest = nearest_centers_oracle(samples, centers)
         trace.append(float(nearest.sum()))
         counts = np.bincount(assign, minlength=k)
         sums = np.zeros_like(centers)

@@ -4,12 +4,11 @@ attributes directly. A renamed or removed name would crash every benchmark
 run, so both surfaces are checked here."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_bench_module
 from frameseek import (BinaryCenters, EngineConfig, FrameGeometry, HoughConfig,
                        PQScoreTable, build_global_index, build_local_index,
                        encode_frame_local, encode_query_local, local_rank,
@@ -18,16 +17,6 @@ from frameseek.bits import pack_bits
 from frameseek.storage import (read_local_descriptors, write_codebooks,
                                write_global_index)
 from frameseek.synth import SynthSpec, generate, write_corpus
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_every_tracing_target_exists():
     tracing = load_bench_module("tracing")

@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gmm_log_posteriors_oracle, kmeans_train_oracle, plusplus_seeds_oracle
+from conftest import (gmm_log_posteriors_oracle, kmeans_train_oracle,
+                      nearest_center_shapes, nearest_centers_oracle,
+                      plusplus_seeds_oracle)
 from frameseek import (BinaryCenters, GMMModel, KMeansModel,
                        binary_assign_batch, binary_centers_train, gmm_train,
                        kmeans_assign_batch, kmeans_train, pca_fit, pca_project,
                        pq_encode_batch, pq_train)
 from frameseek import codebooks
 from frameseek.bits import hamming_to_many, pack_bits, unpack_bits
-from frameseek.codebooks import (ASSIGN_BLOCK_ROWS, VARIANCE_FLOOR,
+from frameseek.codebooks import (BLOCK_FLOATS, BLOCK_MIN_ROWS, VARIANCE_FLOOR,
                                  gmm_log_posteriors)
 
 
@@ -116,6 +118,79 @@ def test_kmeans_train_equals_add_at_oracle(case, seed):
     centers, trace = kmeans_train_oracle(samples, k, iters=6, seed=seed)
     np.testing.assert_array_equal(model.centers, centers)
     np.testing.assert_array_equal(model.objective_trace, trace)
+
+
+def test_model_terms_come_from_read_only_copies():
+    gen = np.random.default_rng(60)
+    centers = gen.normal(size=(5, 3)).astype(np.float32)
+    model = KMeansModel(centers=centers)
+    centers[0] = 0.0  # the caller's array is not the model's
+    f64, sq = model.center_terms
+    assert model.center_terms[0] is f64
+    np.testing.assert_array_equal(f64, model.centers.astype(np.float64))
+    np.testing.assert_array_equal(sq, (f64 * f64).sum(axis=1))
+    pca = pca_fit(gen.normal(size=(40, 6)), 2)
+    basis, mean = pca.projection_terms
+    np.testing.assert_array_equal(basis, pca.basis.astype(np.float64))
+    np.testing.assert_array_equal(mean, pca.mean.astype(np.float64))
+    for array in (model.centers, f64, pca.basis, pca.mean, basis, mean):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def nearest_center_inputs(case, d, k):
+    """(rows, centers) for one kernel case; centers are float32 values in
+    float64, as models hold them."""
+    gen = np.random.default_rng(1000 * d + k)
+    centers = gen.normal(size=(k, d)).astype(np.float32).astype(np.float64)
+    cap = max(BLOCK_MIN_ROWS, BLOCK_FLOATS // k)
+    if case == "random":
+        return gen.normal(size=(2 * cap + 1, d)), centers
+    if case == "one_row":
+        return gen.normal(size=(1, d)), centers
+    if case == "at_centers":
+        # |x|^2 + |c|^2 - 2 x.c at a row's own center rounds to either side of
+        # 0; with twins one ulp apart both can round to 0 or below, so the
+        # clipped argmin is the first of them, not the more negative
+        half = k // 2
+        centers[half:2 * half] = centers[:half]
+        centers[half:2 * half, 0] = np.nextafter(centers[:half, 0], np.inf)
+        rows = centers[np.arange(3 * cap // 2) % k]
+        return rows + 1e-9 * gen.normal(size=rows.shape) * (np.arange(len(rows)) % 2)[:, None], centers
+    # "equal_centers": every center has a twin, and rows on or near them tie
+    centers[k // 2:] = centers[: k - k // 2]
+    rows = centers[gen.integers(0, k, size=cap + 1)]
+    return rows + 0.5 * gen.normal(size=rows.shape) * (np.arange(cap + 1) % 2)[:, None], centers
+
+
+@pytest.mark.parametrize("case", ["random", "one_row", "at_centers", "equal_centers"])
+@pytest.mark.parametrize("d,k", nearest_center_shapes())
+def test_nearest_centers_equal_clipped_oracle(case, d, k):
+    rows, centers = nearest_center_inputs(case, d, k)
+    center_sq = np.einsum("ij,ij->i", centers, centers)
+    want_assign, want_nearest = nearest_centers_oracle(rows, centers)
+    got_assign, got_nearest = codebooks._nearest_centers(rows, centers, center_sq)
+    np.testing.assert_array_equal(got_assign, want_assign)
+    np.testing.assert_array_equal(got_nearest, want_nearest)
+    if case == "at_centers":  # the case reaches the fix-up of negative minima
+        raw = (np.einsum("ij,ij->i", rows, rows)[:, None] + center_sq) - 2.0 * (rows @ centers.T)
+        assert np.any(raw.min(axis=1) < 0.0)
+    if case == "equal_centers":  # ties go to the lower twin
+        assert np.all(got_assign < k // 2 + k % 2)
+
+
+@pytest.mark.parametrize("d,k", nearest_center_shapes())
+def test_nearest_centers_at_every_block_edge(d, k):
+    cap = max(BLOCK_MIN_ROWS, BLOCK_FLOATS // k)
+    rows, centers = nearest_center_inputs("random", d, k)
+    center_sq = np.einsum("ij,ij->i", centers, centers)
+    for n in (cap - 1, cap, cap + 1, 2 * cap, 2 * cap + 1):
+        spans = codebooks._row_spans(n, k)
+        assert len(spans) == -(-n // cap) and spans[-1][1] == n
+        assert min(hi - lo for lo, hi in spans) >= min(n, cap) // 2
+        for got, want in zip(codebooks._nearest_centers(rows[:n], centers, center_sq),
+                             nearest_centers_oracle(rows[:n], centers)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_kmeans_screen_lowers_closest_like_exact_distances(monkeypatch):
@@ -330,9 +405,11 @@ def random_gmm(gen, k, d):
                     variances=variances)
 
 
-@pytest.mark.parametrize("n", [1, 7, 2 * ASSIGN_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("n", [1, 7, 2051])
 @pytest.mark.parametrize("k,d", [(1, 1), (4, 16), (8, 3), (24, 40)])
-def test_gmm_log_posteriors_equal_broadcast_oracle(n, k, d):
+def test_gmm_log_posteriors_equal_broadcast_oracle(monkeypatch, n, k, d):
+    # blocks of max(128, 1024 // k) rows, so 2051 rows take 3 to 17 blocks
+    monkeypatch.setattr(codebooks, "BLOCK_FLOATS", 1024)
     gen = np.random.default_rng(1000 * n + 10 * k + d)
     model = random_gmm(gen, k, d)
     x = gen.normal(0, 2, size=(n, d))
@@ -347,8 +424,9 @@ def test_gmm_log_posteriors_equal_broadcast_oracle(n, k, d):
     np.testing.assert_allclose(np.exp(log_gamma), np.exp(want_gamma), rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [1, 16, ASSIGN_BLOCK_ROWS + 5])
-def test_gmm_log_posteriors_of_a_stack_equal_each_frame_alone(n):
+@pytest.mark.parametrize("n", [1, 16, 1029])
+def test_gmm_log_posteriors_of_a_stack_equal_each_frame_alone(monkeypatch, n):
+    monkeypatch.setattr(codebooks, "BLOCK_FLOATS", 1024)  # 1029 rows take 9 blocks
     gen = np.random.default_rng(2000 + n)
     model = random_gmm(gen, 8, 12)
     frames = gen.normal(0, 2, size=(3, n, 12))
@@ -477,6 +555,28 @@ def test_colliding_centers_take_the_farthest_unused_codes(monkeypatch):
     centers = codes[[0, 0, 3, 3]]
     # nearest-center distances of the codes are 0, 3, 2 and 0
     np.testing.assert_array_equal(codebooks._dedupe_centers(centers, codes), codes[[0, 1, 3, 2]])
+
+
+def test_last_majority_step_can_repeat_a_center(monkeypatch):
+    """Seeds 0000000 and 1111111 split these codes into {0000000 and the
+    four codes with three of the first four bits set} and {1111111,
+    1111000}. Both clusters' per-bit majority is 1111000 (3 of 5 codes set
+    each of the first four bits; 1 of 2 sets each of the last three, a tie),
+    so a single iteration ends on two equal centers, and the repeat takes
+    the unused code farthest from every center, 0000000."""
+    bits = np.array([[0] * 7, [1] * 7, [1, 1, 1, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0],
+                     [1, 0, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0]],
+                    dtype=np.uint8)
+    before_dedupe, dedupe = [], codebooks._dedupe_centers
+
+    def spy(centers, codes):
+        before_dedupe.append(unpack_bits(centers, 7))
+        return dedupe(centers, codes)
+
+    monkeypatch.setattr(codebooks, "_dedupe_centers", spy)
+    model = binary_centers_train(pack_bits(bits), 7, k=2, iters=1, seed=38)  # draws those seeds
+    np.testing.assert_array_equal(before_dedupe[0], bits[[6, 6]])
+    np.testing.assert_array_equal(unpack_bits(model.centers, 7), bits[[6, 0]])
 
 
 def float64_seeds(bits):

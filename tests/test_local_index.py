@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import (LocalPosting, build_local_index_oracle, kmeans_assign,
-                      postings_from_rows, pq_encode, write_local_index_oracle)
-from frameseek import (LocalRecord, build_local_index, encode_frame_local,
-                       records_to_rows)
+                      load_bench_module, postings_from_rows, pq_encode,
+                      workload_configs, write_local_index_oracle)
+from frameseek import (KMeansModel, LocalRecord, PQModel, build_local_index,
+                       encode_frame_local, encode_query_local, records_to_rows)
+from frameseek.codebooks import BLOCK_FLOATS, BLOCK_MIN_ROWS
 from frameseek.geometry import (FrameGeometry, dequantize_log_scale,
                                 dequantize_theta, quantize_log_scale,
                                 quantize_theta, wrap_angle)
 from frameseek import local_index
-from frameseek.local_index import POSTING_DTYPES
+from frameseek.local_index import DESCRIPTOR_DIM, POSTING_DTYPES
 from frameseek.storage import write_local_index
 
 
@@ -66,6 +68,38 @@ def test_encode_rejects_wrong_dimension(small_bow, small_pq):
     records = make_records([np.zeros(16)])
     with pytest.raises(ValueError, match="dimension"):
         encode_records(records, small_bow, small_pq)
+
+
+@pytest.mark.parametrize("workload", ["copy-local", "neardup-global", "ingest"])
+def test_query_coded_alone_matches_its_index_coding(workload):
+    """A query frame's few rows go through one small product each, while
+    the index codes the same rows inside blocks of hundreds; BLAS may round
+    the two differently (at the neardup-global shape, 4 rows against 128
+    words, most rows' distances differ in their last bits). Words and PQ
+    codes must still agree, for rows near one word and for rows midway
+    between two, at each workload's shapes."""
+    config = workload_configs()[workload]
+    spec = load_bench_module("workloads").WORKLOADS[workload].spec
+    per_frame = spec["keypoints_per_frame"] + spec.get("distractor_keypoints", 0)
+    gen = np.random.default_rng(41)
+    bow = KMeansModel(gen.normal(size=(config.d_bow, DESCRIPTOR_DIM)))
+    pq = PQModel([KMeansModel(gen.normal(0.0, 0.3, size=(config.d_pq, DESCRIPTOR_DIM // config.m)))
+                  for _ in range(config.m)], max_dist=np.ones(config.m))
+    # enough frames to fill two of the encoder's vocabulary blocks
+    n_frames = 2 * max(BLOCK_MIN_ROWS, BLOCK_FLOATS // config.d_bow) // per_frame + 1
+    words = gen.integers(0, config.d_bow, size=(2, n_frames * per_frame))
+    centers = bow.centers.astype(np.float64)
+    near = centers[words[0]] + gen.normal(0.0, 0.3, size=(words.shape[1], DESCRIPTOR_DIM))
+    midway = (centers[words[0]] + centers[words[1]]) / 2.0
+    rows = np.zeros((words.shape[1], 4 + DESCRIPTOR_DIM), dtype=np.float32)
+    rows[:, 4:] = np.where((np.arange(words.shape[1]) % 2)[:, None] == 0, near, midway)
+    frames = [(f, f, rows[f * per_frame:(f + 1) * per_frame]) for f in range(n_frames)]
+    postings = encode_frame_local(frames, bow, pq)
+    for f, _, frame_rows in frames:
+        alone = encode_query_local(frame_rows, bow, pq)
+        in_index = slice(f * per_frame, (f + 1) * per_frame)
+        np.testing.assert_array_equal([p.word for p in alone], postings.word[in_index])
+        np.testing.assert_array_equal(np.stack([p.codes for p in alone]), postings.codes[in_index])
 
 
 def test_blocked_encoding_equals_per_frame_encoding(small_bow, small_pq, monkeypatch):
