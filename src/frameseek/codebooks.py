@@ -438,12 +438,12 @@ def pca_fit(samples: np.ndarray, d_out: int) -> PCAModel:
     Raises:
         ValueError: fewer samples than d_out + 1, or data rank below d_out.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    n, _ = samples.shape
+    n, _ = np.shape(samples)
     if n <= d_out:
         raise ValueError("need more samples than output dimensions")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
+    centered = np.array(samples, dtype=np.float64)  # the one float64 copy, centered in place
+    mean = centered.mean(axis=0)
+    centered -= mean
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]

@@ -8,6 +8,7 @@ carries an idf table used to weight match scores.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -17,7 +18,10 @@ from .codebooks import KMeansModel, PQModel, kmeans_assign_batch, pq_encode_batc
 from .geometry import FrameGeometry, quantize_log_scale, quantize_theta
 
 DESCRIPTOR_DIM = 128
-ENCODE_BLOCK_ROWS = 8192  # rows converted to float64 and encoded at a time
+# Rows converted to float64 and encoded at a time. `row_blocks` gives every
+# block at least half of them (or all the rows there are), far above the
+# BLOCK_MIN_ROWS that keeps the codes independent of the blocking.
+ENCODE_BLOCK_ROWS = 2048
 # the posting columns of the inverted file, as LocalIndex and LIDX store them
 POSTING_DTYPES = {"codes": np.uint8, "qx": np.uint16, "qy": np.uint16,
                   "qtheta": np.uint8, "qscale": np.uint8, "frame": np.uint32}
@@ -95,46 +99,74 @@ class LocalIndex:
         return self._postings
 
 
-def _row_blocks(frames, block_rows: int):
-    """The rows of all frames, end to end, as blocks of near-equal size and
-    at most block_rows rows."""
-    n = sum(rows.shape[0] for _, _, rows in frames)
-    size = -(-n // max(1, -(-n // block_rows)))
-    pieces, filled = [], 0
+def _take_rows(pieces: deque, n: int) -> np.ndarray:
+    """The first n rows of the queued row blocks, joined; they leave the queue."""
+    taken = []
+    while n:
+        piece = pieces.popleft()
+        if piece.shape[0] > n:
+            pieces.appendleft(piece[n:])
+            piece = piece[:n]
+        taken.append(piece)
+        n -= piece.shape[0]
+    return np.concatenate(taken)
+
+
+def row_blocks(frames, block_rows: int):
+    """The rows of all frames, end to end, as blocks of at most block_rows
+    rows, cut while the frames stream in. A block is cut once 2 * block_rows
+    rows wait; the rows still waiting at the end form one block or, past
+    block_rows, two near-equal ones. So every block holds at least
+    block_rows // 2 rows, or all the rows there are, and what waits is never
+    more than 2 * block_rows rows besides the frame that just arrived.
+    """
+    pieces, waiting = deque(), 0
     for _, _, rows in frames:
-        while rows.shape[0]:
-            piece, rows = rows[:size - filled], rows[size - filled:]
-            pieces.append(piece)
-            filled += piece.shape[0]
-            if filled == size:
-                yield np.concatenate(pieces)
-                pieces, filled = [], 0
-    if pieces:
-        yield np.concatenate(pieces)
+        if not rows.shape[0]:  # an empty frame's rows may have another width
+            continue
+        pieces.append(rows)
+        waiting += rows.shape[0]
+        while waiting >= 2 * block_rows:
+            yield _take_rows(pieces, block_rows)
+            waiting -= block_rows
+    if waiting > block_rows:
+        yield _take_rows(pieces, waiting - waiting // 2)
+        waiting //= 2
+    if waiting:
+        yield _take_rows(pieces, waiting)
 
 
-def encode_frame_local(frames: list[tuple[int, int, np.ndarray]], bow: KMeansModel,
-                       pq: PQModel, geometry: FrameGeometry | None = None) -> Postings:
+def encode_frame_local(frames, bow: KMeansModel, pq: PQModel,
+                       geometry: FrameGeometry | None = None) -> Postings:
     """Encode the keypoints of every frame into postings: coarse word,
     residual PQ codes and quantized geometry, in input order.
 
-    `frames` holds (frame_id, video_id, rows) triples as the LDSC reader
-    returns them, each row [x, y, theta, log_scale, descriptor...]. Rows are
-    encoded in blocks of at most ENCODE_BLOCK_ROWS, so memory stays bounded
-    whatever the corpus size.
+    `frames` is an iterable of (frame_id, video_id, rows) triples as the
+    LDSC reader returns or streams them, each row [x, y, theta, log_scale,
+    descriptor...]. Rows are encoded in blocks of at most ENCODE_BLOCK_ROWS
+    while the frames arrive (`row_blocks`), so memory beyond the postings
+    stays bounded by a block whatever the corpus size.
 
     Raises:
         ValueError: descriptor dimensionality does not match the models.
     """
     geometry = geometry or FrameGeometry()
-    for _, _, rows in frames:
-        if rows.shape[0] and rows.shape[1] - 4 != bow.d:
-            raise ValueError(f"descriptor dimension {rows.shape[1] - 4} does not match "
-                             f"vocabulary ({bow.d})")
+    frame_ids, sizes = [], []
+
+    def tallied(frames):
+        """The frames, checked, with each one's id and row count noted."""
+        for frame_id, video_id, rows in frames:
+            if rows.shape[0] and rows.shape[1] - 4 != bow.d:
+                raise ValueError(f"descriptor dimension {rows.shape[1] - 4} does not match "
+                                 f"vocabulary ({bow.d})")
+            frame_ids.append(frame_id)
+            sizes.append(rows.shape[0])
+            yield frame_id, video_id, rows
+
     words = [np.empty(0, dtype=np.int64)]
     codes = [np.empty((0, pq.m), dtype=np.uint8)]
     geom = [np.empty((0, 4), dtype=np.float32)]
-    for block in _row_blocks(frames, ENCODE_BLOCK_ROWS):
+    for block in row_blocks(tallied(frames), ENCODE_BLOCK_ROWS):
         descriptors = np.ascontiguousarray(block[:, 4:], dtype=np.float64)
         block_words, residuals = kmeans_assign_batch(bow, descriptors)
         words.append(block_words)
@@ -144,8 +176,7 @@ def encode_frame_local(frames: list[tuple[int, int, np.ndarray]], bow: KMeansMod
     qx, qy = geometry.quantize_xy(geom[:, 0], geom[:, 1])
     return Postings(word=np.concatenate(words), codes=np.concatenate(codes), qx=qx, qy=qy,
                     qtheta=quantize_theta(geom[:, 2]), qscale=quantize_log_scale(geom[:, 3]),
-                    frame=np.repeat(np.array([fid for fid, _, _ in frames], dtype=np.uint32),
-                                    [rows.shape[0] for _, _, rows in frames]))
+                    frame=np.repeat(np.array(frame_ids, dtype=np.uint32), sizes))
 
 
 def build_local_index(postings: Postings, frame_to_video: dict[int, int],

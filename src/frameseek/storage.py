@@ -9,7 +9,9 @@ twice yields byte-identical files.
 
 import io
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,11 @@ _KIND_GMM = 4
 _KIND_BINARY = 5
 
 GLOBAL_FEATURE_DIM = 384
-# Words per test of a descriptor file for NaN and inf: bounds the test's
+# Bytes a descriptor stream reads at a time (a frame larger than that is
+# read as one chunk of its own size): what a training pass or an index build
+# holds of its descriptor files, whatever their size.
+READ_CHUNK_BYTES = 1 << 20
+# Words per test of a descriptor chunk for NaN and inf: bounds the test's
 # boolean temporary to 1 MiB.
 FINITE_TEST_WORDS = 1 << 20
 LOCAL_ROW_WIDTH = 4 + DESCRIPTOR_DIM  # x, y, theta, log_scale, descriptor
@@ -104,6 +110,17 @@ class _Reader:
                                   "after the last block")
 
 
+def _check_head(r: _Reader, magic: bytes, expect: int) -> None:
+    """Check the magic and the format version that open every binary file."""
+    got = bytes(r.take(4))
+    if got != magic:
+        raise FileFormatError(f"{r.path}: bad magic {got!r}, expected {magic!r}")
+    version = r.u16()
+    if version != expect:
+        raise FileFormatError(f"{r.path}: file format version {version}, "
+                              f"this build reads version {expect}")
+
+
 def _open_checked(path: str | Path, magic: bytes, expect: int = FORMAT_VERSION) -> _Reader:
     path = Path(path)
     try:
@@ -111,13 +128,7 @@ def _open_checked(path: str | Path, magic: bytes, expect: int = FORMAT_VERSION) 
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
     r = _Reader(data, str(path))
-    got = bytes(r.take(4))
-    if got != magic:
-        raise FileFormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    version = r.u16()
-    if version != expect:
-        raise FileFormatError(f"{path}: file format version {version}, "
-                              f"this build reads version {expect}")
+    _check_head(r, magic, expect)
     return r
 
 
@@ -246,30 +257,110 @@ def _finite_rows(path, frame_id: int, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _read_frame_blocks(path: str | Path, magic: bytes,
-                       width: int) -> list[tuple[int, int, np.ndarray]]:
-    """(frame_id, video_id, rows) per block in file order; rows is an
-    (n, width) float32 read-only view of the file's bytes.
+@contextmanager
+def _frame_file(path: Path, magic: bytes):
+    """The descriptor file, open past its checked magic and version, and its
+    size in bytes."""
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
+    with fh:
+        _check_head(_Reader(fh.read(6), str(path)), magic, FORMAT_VERSION)
+        yield fh, os.fstat(fh.fileno()).st_size
+
+
+def _read_chunk(fh, path: Path, tail: np.ndarray, size: int) -> np.ndarray:
+    """A new size-byte chunk: tail, then the next size - len(tail) bytes of
+    the file."""
+    chunk = np.empty(size, dtype=np.uint8)
+    chunk[:tail.size] = tail
+    try:
+        got = fh.readinto(chunk[tail.size:])
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
+    if got != size - tail.size:  # the file shrank while it was read
+        raise FileFormatError(f"{path}: truncated file")
+    return chunk
+
+
+def _stream_frame_blocks(path: Path, magic: bytes, width: int):
+    """(frame_id, video_id, rows) per block in file order, read in chunks of
+    about READ_CHUNK_BYTES; rows is an (n, width) float32 read-only view of
+    its chunk.
+
+    Every chunk starts at a frame header and ends after its last whole
+    frame, so every view is 4-byte aligned; a frame the chunk cuts starts
+    the next chunk, which is made large enough to hold it. A header's row
+    count is checked against the bytes left in the file before anything is
+    read or allocated for it.
 
     Raises:
-        FileFormatError: a structural fault, or a non-finite value.
+        FileFormatError: a structural fault, or a non-finite value, once the
+            stream reaches the chunk that holds it.
     """
-    r = _open_checked(path, magic)
-    frames = []
-    while not r.done():
-        frame_id, video_id, n = struct.unpack("<III", r.take(12))
-        # take() checks n rows against the bytes left before anything is built
-        rows = np.frombuffer(r.take(4 * n * width), dtype="<f4").reshape(n, width)
-        frames.append((frame_id, video_id, rows))
-    # every header field and value is a 4-byte word from byte 6 on, so a few
-    # tests over all words replace one per frame; a header word that reads
-    # as NaN or inf is a large id, so the frames are tested one by one then
-    words = np.frombuffer(r.buf, dtype="<f4", offset=6)
-    if not all(np.isfinite(words[lo:lo + FINITE_TEST_WORDS]).all()
-               for lo in range(0, words.size, FINITE_TEST_WORDS)):
-        for frame_id, _, rows in frames:
-            _finite_rows(r.path, frame_id, rows)
-    return frames
+    row_bytes = 4 * width
+    with _frame_file(path, magic) as (fh, size):
+        left = size - 6  # bytes of the file not read yet
+        tail = np.empty(0, dtype=np.uint8)  # the start of the frame the last chunk cut
+        need = 12  # bytes of that frame: its header's size until the header is read
+        while left:
+            chunk = _read_chunk(fh, path, tail,
+                                min(max(READ_CHUNK_BYTES, need), tail.size + left))
+            left -= chunk.size - tail.size
+            blocks, end = [], 0
+            while chunk.size - end >= 12:
+                frame_id, video_id, n = struct.unpack_from("<III", chunk, end)
+                stop = end + 12 + n * row_bytes
+                if stop > chunk.size + left:
+                    raise FileFormatError(f"{path}: truncated file")
+                if stop > chunk.size:
+                    break
+                blocks.append((frame_id, video_id, (end + 12) // 4, n))
+                end = stop
+            need = stop - end if chunk.size - end >= 12 else 12
+            if end < chunk.size and not left:
+                raise FileFormatError(f"{path}: truncated file")
+            tail = chunk[end:].copy()
+            chunk.flags.writeable = False
+            words = chunk[:end].view("<f4")
+            frames = [(frame_id, video_id, words[at:at + n * width].reshape(n, width))
+                      for frame_id, video_id, at, n in blocks]
+            # every header field and value is a 4-byte word, so a few tests
+            # over all words replace one per frame; a header word that reads
+            # as NaN or inf is a large id, so the frames are tested one by
+            # one then
+            if not all(np.isfinite(words[lo:lo + FINITE_TEST_WORDS]).all()
+                       for lo in range(0, words.size, FINITE_TEST_WORDS)):
+                for frame_id, _, rows in frames:
+                    _finite_rows(path, frame_id, rows)
+            yield from frames
+
+
+def _scan_frame_blocks(path: Path, magic: bytes, width: int) -> list[tuple[int, int, int]]:
+    """(frame_id, video_id, n) per block in file order, from the headers
+    alone: one 12-byte read per frame, the rows are skipped.
+
+    Raises:
+        FileFormatError: a structural fault. Values are not read, so not
+            tested.
+    """
+    headers, pos = [], 6
+    with _frame_file(path, magic) as (fh, size):
+        while pos < size:
+            try:
+                fh.seek(pos)
+                header = fh.read(12)
+            except OSError as exc:
+                raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
+            if len(header) < 12:
+                raise FileFormatError(f"{path}: truncated file")
+            frame_id, video_id, n = struct.unpack("<III", header)
+            pos += 12 + n * 4 * width
+            if pos > size:
+                raise FileFormatError(f"{path}: truncated file")
+            headers.append((frame_id, video_id, n))
+    return headers
 
 
 def write_local_descriptors(frames: list[tuple[int, int, np.ndarray]],
@@ -316,26 +407,59 @@ def _read_local_text(path: Path) -> list[tuple[int, int, np.ndarray]]:
                 for fid, (vid, rows) in frames.items()]
 
 
+def _local_is_text(path: Path) -> bool:
+    """Whether an LDSC file is the text variant: it lacks the binary magic."""
+    try:
+        with path.open("rb") as fh:
+            return fh.read(4) != MAGIC_LOCAL_DESC
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
+
+
+def stream_local_descriptors(path: str | Path):
+    """The frames of an LDSC file as read_local_descriptors returns them,
+    one at a time. The binary variant is read in chunks of about
+    READ_CHUNK_BYTES, and each frame's rows are a read-only view of its
+    chunk; the text variant is parsed whole.
+
+    Raises:
+        FileFormatError: a malformed file, or a value that is not finite
+            as float32, once the stream reaches it.
+    """
+    path = Path(path)
+    if _local_is_text(path):
+        yield from _read_local_text(path)
+    else:
+        yield from _stream_frame_blocks(path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
+
+
+def scan_local_descriptors(path: str | Path) -> list[tuple[int, int, int]]:
+    """(frame_id, video_id, row count) of every frame of an LDSC file, in
+    file order; a binary file is read by its frame headers alone.
+
+    Raises:
+        FileFormatError: a malformed binary file; a malformed text file or
+            a non-finite value in one.
+    """
+    path = Path(path)
+    if _local_is_text(path):
+        return [(fid, vid, rows.shape[0]) for fid, vid, rows in _read_local_text(path)]
+    return _scan_frame_blocks(path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
+
+
 def read_local_descriptors(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
     """Read an LDSC file (binary, or the line-oriented text variant) as
     (frame_id, video_id, rows) triples in file order. `rows` is the frame's
     (n, 132) float32 block [x, y, theta, log_scale, d0..d127]; in the binary
-    variant it is a read-only view of the file's bytes. In the text variant
-    the lines of one frame id form one frame.
+    variant it is a read-only, aligned view of the chunk of the file that
+    holds it (`stream_local_descriptors`). In the text variant the lines of
+    one frame id form one frame.
 
     Raises:
         FileFormatError: a malformed file, or a value that is not finite
             as float32.
     """
-    path = Path(path)
-    try:
-        with path.open("rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
-    if head != MAGIC_LOCAL_DESC:
-        return _read_local_text(path)
-    return _read_frame_blocks(path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
+    return list(stream_local_descriptors(path))
 
 
 def write_global_features(frames: list[tuple[int, int, np.ndarray]],
@@ -351,15 +475,36 @@ def write_global_features(frames: list[tuple[int, int, np.ndarray]],
                         "frame {frame} features have dimension {shape[1]}, expected {width}")
 
 
+def stream_global_features(path: str | Path):
+    """The frames of a GDSC file as read_global_features returns them, one
+    at a time, read in chunks of about READ_CHUNK_BYTES.
+
+    Raises:
+        FileFormatError: a malformed file, or a non-finite value, once the
+            stream reaches it.
+    """
+    return _stream_frame_blocks(Path(path), MAGIC_GLOBAL_DESC, GLOBAL_FEATURE_DIM)
+
+
+def scan_global_features(path: str | Path) -> list[tuple[int, int, int]]:
+    """(frame_id, video_id, row count) of every frame of a GDSC file, in
+    file order, read by its frame headers alone.
+
+    Raises:
+        FileFormatError: a malformed file.
+    """
+    return _scan_frame_blocks(Path(path), MAGIC_GLOBAL_DESC, GLOBAL_FEATURE_DIM)
+
+
 def read_global_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
     """Read a GDSC file as (frame_id, video_id, features) triples in file
-    order; `features` is an (n, 384) float32 read-only view of the file's
-    bytes.
+    order; `features` is an (n, 384) float32 read-only, aligned view of the
+    chunk of the file that holds it (`stream_global_features`).
 
     Raises:
         FileFormatError: a malformed file, or a non-finite value.
     """
-    return _read_frame_blocks(path, MAGIC_GLOBAL_DESC, GLOBAL_FEATURE_DIM)
+    return list(stream_global_features(path))
 
 
 # --- local inverted index (LIDX) -----------------------------------------

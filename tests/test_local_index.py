@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (LocalPosting, build_local_index_oracle, kmeans_assign,
                       load_bench_module, postings_from_rows, pq_encode,
@@ -124,11 +126,39 @@ def test_row_blocks_bounded_and_near_equal():
     sizes = [5, 0, 13, 1, 8]
     frames = [(fid, 0, np.arange(n * 36, dtype=np.float32).reshape(n, 36) + 1000 * fid)
               for fid, n in enumerate(sizes)]
-    blocks = list(local_index._row_blocks(frames, 7))
+    blocks = list(local_index.row_blocks(frames, 7))
     lengths = [b.shape[0] for b in blocks]
-    assert lengths == [7, 7, 7, 6]  # 27 rows in ceil(27 / 7) = 4 near-equal blocks
+    # 7 rows are cut whenever 14 wait (after 18 and 20 rows); the last 13 split 7 + 6
+    assert lengths == [7, 7, 7, 6]
     np.testing.assert_array_equal(np.concatenate(blocks),
                                   np.concatenate([rows for _, _, rows in frames]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=30), block_rows=st.integers(1, 16))
+def test_row_blocks_hold_half_a_block_and_cut_while_frames_stream(sizes, block_rows):
+    frames = [(fid, 0, np.full((n, 3), fid, dtype=np.float32)) for fid, n in enumerate(sizes)]
+    arrived = []
+
+    def stream():
+        for frame in frames:
+            arrived.append(frame[2].shape[0])
+            yield frame
+
+    blocks, delivered = [], 0
+    for block in local_index.row_blocks(stream(), block_rows):
+        blocks.append(block)
+        delivered += block.shape[0]
+        # what waits is under two blocks, plus the frame that just arrived
+        assert sum(arrived) - delivered < 2 * block_rows + arrived[-1]
+    total = sum(sizes)
+    assert sum(b.shape[0] for b in blocks) == total
+    for block in blocks:
+        assert block.shape[0] <= block_rows
+        assert block.shape[0] >= min(total, block_rows // 2) and block.shape[0] > 0
+    if total:
+        np.testing.assert_array_equal(np.concatenate(blocks),
+                                      np.concatenate([rows for _, _, rows in frames]))
 
 
 # --- geometry quantization ----------------------------------------------------

@@ -35,13 +35,29 @@ def test_sampled_rows_equal_joined_then_subsampled(cap):
     gen = np.random.default_rng(56)
     frames = [(fid, 0, gen.normal(size=(n, 3)).astype(np.float32))
               for fid, n in enumerate([4, 0, 7, 1, 5])]
-    joined = np.concatenate([rows for _, _, rows in frames]).astype(np.float64)
+    joined = np.concatenate([rows for _, _, rows in frames])
     rng_rows, rng_joined = np.random.default_rng(cap), np.random.default_rng(cap)
-    got = _sample_rows(frames, cap, rng_rows)
+    got = _sample_rows(iter(frames), joined.shape[0], cap, rng_rows)
     want = joined[_sample_index(joined.shape[0], cap, rng_joined)]
-    assert got.dtype == np.float64
+    assert got.dtype == np.float32
     np.testing.assert_array_equal(got, want)
     assert rng_rows.bit_generator.state == rng_joined.bit_generator.state
+
+
+def test_sampling_streams_every_frame_past_the_last_drawn_row():
+    """The frames after the last drawn row are still read, so a fault in
+    them is found although training takes no row of theirs."""
+    frames = [(fid, 0, np.full((3, 2), fid, dtype=np.float32)) for fid in range(6)]
+    streamed = []
+
+    def stream():
+        for frame in frames:
+            streamed.append(frame[0])
+            yield frame
+
+    sample = _sample_rows(stream(), 18, 1, np.random.default_rng(1))
+    assert sample.tolist() == [[2.0, 2.0]]  # row 8, in frame 2
+    assert streamed == list(range(6))
 
 
 def test_training_on_featureless_global_frames_names_the_cause(trained, tmp_path):
@@ -149,8 +165,8 @@ def test_frame_coded_alone_equals_its_code_in_a_full_block():
     features = np.concatenate([feats for _, _, feats in frames]).astype(np.float64)
     pca = pca_fit(features, 64)
     gmm = gmm_train(pca_project(pca, features), 64, iters=3, seed=62)
-    blocks = list(_frame_blocks([16] * len(frames), pipeline.SIGNATURE_BLOCK_FLOATS // 4096))
-    assert {hi - lo for lo, hi in blocks} == {BLOCK // 16}  # every block is full
+    blocks = list(_frame_blocks(frames, pipeline.SIGNATURE_BLOCK_FLOATS // 4096))
+    assert {len(block) for block in blocks} == {BLOCK // 16}  # every block is full
     codes = _signature_codes(frames, pca, gmm)
     for (fid, vid, feats), code in zip(frames, codes):
         np.testing.assert_array_equal(
@@ -161,7 +177,8 @@ def test_frame_coded_alone_equals_its_code_in_a_full_block():
 @pytest.mark.parametrize("max_frames", [1, 4, 10 ** 6])
 def test_frame_blocks_are_maximal_runs_within_budget(max_frames):
     sizes = [BLOCK + 7, 0, 5, BLOCK, 0, 0, BLOCK + 7, 1, 2] + [BLOCK // 3] * 7 + [0, 1] * 9
-    blocks = list(_frame_blocks(sizes, max_frames))
+    frames = ((i, 0, np.empty((n, 0))) for i, n in enumerate(sizes))  # streamed once
+    blocks = [(block[0][0], block[-1][0] + 1) for block in _frame_blocks(frames, max_frames)]
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == len(sizes)
     for lo, hi in blocks:

@@ -383,6 +383,158 @@ def test_global_features_mutated_bytes_parse_or_raise_format_error(tmp_path, edi
         assert features.shape[1] == 384
 
 
+# --- descriptor files read in chunks ----------------------------------------------
+
+SMALL_CHUNK = 300  # bytes: smaller than any frame with rows in small_ldsc and small_gdsc
+STREAMS = {"ldsc": (write_local_descriptors, read_local_descriptors,
+                    storage.stream_local_descriptors, 132),
+           "gdsc": (write_global_features, read_global_features,
+                    storage.stream_global_features, 384)}
+
+
+def whole_file_frames(data: bytes, width: int) -> list[tuple[int, int, bytes]]:
+    """(frame id, video id, row bytes) of every block of a valid descriptor
+    file, parsed from all of its bytes at once."""
+    frames, pos = [], 6
+    while pos < len(data):
+        frame_id, video_id, n = struct.unpack_from("<III", data, pos)
+        frames.append((frame_id, video_id, data[pos + 12:pos + 12 + 4 * n * width]))
+        pos += 12 + 4 * n * width
+    assert pos == len(data)
+    return frames
+
+
+def streamed_frames(stream, path) -> list[tuple[int, int, bytes]]:
+    out = []
+    for frame_id, video_id, rows in stream(path):
+        assert rows.flags.aligned and not rows.flags.writeable
+        assert rows.dtype == np.float32 and rows.ctypes.data % 4 == 0
+        out.append((frame_id, video_id, rows.tobytes()))
+    return out
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(STREAMS)),
+       sizes=st.lists(st.one_of(st.sampled_from([0, 1]), st.integers(0, 9)), max_size=10),
+       data=st.data())
+def test_stream_in_any_chunk_size_yields_the_whole_file_parse(tmp_path, monkeypatch, kind,
+                                                              sizes, data):
+    write, _, stream, width = STREAMS[kind]
+    gen = np.random.default_rng(len(sizes))
+    path = tmp_path / f"frames.{kind}"
+    write([(fid, fid // 3, gen.normal(size=(n, width)).astype(np.float32))
+           for fid, n in enumerate(sizes)], path)
+    body = path.stat().st_size - 6
+    frame_bytes = [12 + 4 * n * width for n in sizes]
+    # a few hundred bytes, or a size that makes a chunk end where a frame or
+    # the file does
+    chunk = data.draw(st.one_of(st.integers(1, 5000),
+                                st.sampled_from(frame_bytes + [max(1, body)])))
+    monkeypatch.setattr(storage, "READ_CHUNK_BYTES", chunk)
+    assert streamed_frames(stream, path) == whole_file_frames(path.read_bytes(), width)
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+@pytest.mark.parametrize("sizes, frames_per_chunk", [([2, 2, 2, 2], 1), ([2, 2, 2, 2], 2),
+                                                     ([0, 0, 0, 0, 0, 0], 3), ([1, 1, 0], 1)])
+def test_stream_of_a_file_ending_on_a_chunk_boundary(tmp_path, monkeypatch, kind, sizes,
+                                                     frames_per_chunk):
+    write, read, stream, width = STREAMS[kind]
+    frames = [(fid, 5, np.full((n, width), fid, dtype=np.float32))
+              for fid, n in enumerate(sizes)]
+    path = tmp_path / f"frames.{kind}"
+    write(frames, path)
+    # every chunk but a lone last frame's is full and ends on a frame boundary
+    monkeypatch.setattr(storage, "READ_CHUNK_BYTES",
+                        frames_per_chunk * (12 + 4 * sizes[0] * width))
+    assert streamed_frames(stream, path) == whole_file_frames(path.read_bytes(), width)
+    assert [fid for fid, _, _ in read(path)] == list(range(len(sizes)))
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK])
+def test_descriptor_rows_are_aligned_read_only_views(tmp_path, monkeypatch, chunk):
+    if chunk:  # then every frame with rows straddles a chunk boundary
+        monkeypatch.setattr(storage, "READ_CHUNK_BYTES", chunk)
+    for small, kind in ((small_ldsc, "ldsc"), (small_gdsc, "gdsc")):
+        path, frames = small(tmp_path, sizes=(2, 0, 1, 3))
+        _, read, stream, width = STREAMS[kind]
+        got = read(path)
+        assert all(rows.flags.aligned and rows.ctypes.data % 4 == 0 for _, _, rows in got)
+        assert [rows.tobytes() for _, _, rows in got] == [rows.tobytes() for _, _, rows in frames]
+        assert streamed_frames(stream, path) == whole_file_frames(path.read_bytes(), width)
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+def test_stream_yields_frames_before_a_fault_further_on(tmp_path, monkeypatch, kind):
+    write, read, stream, width = STREAMS[kind]
+    path = tmp_path / f"frames.{kind}"
+    write([(fid, 0, np.ones((4, width), dtype=np.float32)) for fid in range(6)], path)
+    path.write_bytes(path.read_bytes()[:-1])
+    monkeypatch.setattr(storage, "READ_CHUNK_BYTES", SMALL_CHUNK)
+    frames = stream(path)
+    assert next(frames)[0] == 0  # read before the cut is reached
+    with pytest.raises(FileFormatError, match="truncated file"):
+        list(frames)
+    with pytest.raises(FileFormatError, match="truncated file"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+def test_huge_count_rejected_before_the_rest_of_the_file_is_read(tmp_path, monkeypatch,
+                                                                 kind):
+    write, read, _, width = STREAMS[kind]
+    path = tmp_path / f"frames.{kind}"
+    write([(fid, 0, np.ones((2, width), dtype=np.float32)) for fid in range(400)], path)
+    data = bytearray(path.read_bytes())
+    data[6 + 8:6 + 12] = struct.pack("<I", 2 ** 31)  # the first frame's n
+    path.write_bytes(bytes(data))
+    monkeypatch.setattr(storage, "READ_CHUNK_BYTES", SMALL_CHUNK)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="truncated"):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 400_000 and peak < 64 * 1024
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMS))
+def test_scan_reads_the_headers_the_stream_yields(tmp_path, kind):
+    write, read, stream, width = STREAMS[kind]
+    scan = {"ldsc": storage.scan_local_descriptors, "gdsc": storage.scan_global_features}[kind]
+    path = tmp_path / f"frames.{kind}"
+    write([(fid, fid + 9, np.ones((n, width), dtype=np.float32))
+           for fid, n in enumerate([3, 0, 1, 7])], path)
+    assert scan(path) == [(fid, vid, rows.shape[0]) for fid, vid, rows in read(path)]
+    data = path.read_bytes()
+    cut = tmp_path / f"cut.{kind}"
+    for end in (len(data) - 1, 6 + 5):  # inside the last frame's rows, inside a header
+        cut.write_bytes(data[:end])
+        with pytest.raises(FileFormatError, match="truncated file"):
+            scan(cut)
+
+
+@pytest.mark.parametrize("test", [
+    test_local_descriptors_every_truncation_rejected,
+    test_global_features_every_truncation_rejected,
+    test_local_descriptors_mutated_bytes_parse_or_raise_format_error,
+    test_global_features_mutated_bytes_parse_or_raise_format_error,
+    test_local_descriptors_huge_count_rejected_before_allocation,
+    test_global_features_huge_count_rejected_before_allocation,
+], ids=lambda test: test.__name__.removeprefix("test_"))
+def test_descriptor_fault_checks_hold_in_small_chunks(tmp_path, monkeypatch, test):
+    """The readers' truncation, mutation and allocation tests again, with
+    chunks smaller than the frames, so faults land past chunk boundaries."""
+    monkeypatch.setattr(storage, "READ_CHUNK_BYTES", SMALL_CHUNK)
+    if "huge_count" in test.__name__:
+        for count in (2 ** 20, 2 ** 32 - 1):
+            test(tmp_path, count)
+    else:
+        test(tmp_path)
+
+
 # --- indices ----------------------------------------------------------------------
 
 def test_local_index_roundtrip_and_rebuild_identical(small_bow, small_pq, tmp_path):
