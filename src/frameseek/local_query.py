@@ -55,9 +55,14 @@ class QueryPosting:
 @dataclass
 class Matches:
     """Surviving query-to-reference keypoint matches as equal-length columns,
-    one row per match, in ascending query keypoint order."""
+    one row per match: by ascending query keypoint, then in index order.
 
-    frame: np.ndarray  # (n,) reference frame ids
+    Every column holds the bits a full m-subspace scan of every posting
+    gives; skipping postings that cannot pass tau_pq changes none of them.
+    With no live query keypoint, every column is an empty float64 array.
+    """
+
+    frame: np.ndarray  # (n,) uint32 reference frame ids
     query_index: np.ndarray  # (n,) int64 position within the query frame
     score: np.ndarray  # (n,) float64 idf-weighted hard similarity, > 0
     qx: np.ndarray  # (n,) float64 query geometry, raw
@@ -120,11 +125,17 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
 
     Every query keypoint whose word has postings and a positive idf is live.
     The positions of all live keypoints' posting ranges are scored together
-    with m flat lookup-table gathers, one per subquantizer (IVFADC-style);
-    the other posting columns are gathered at the hits only. Stopped words
-    have no postings and are skipped by construction. A match's query_index
-    is its keypoint's position in `query`. `table` is `PQScoreTable(pq)`,
-    passed in to build it once per query batch.
+    with flat lookup-table gathers, one per subquantizer (IVFADC-style).
+    The first m // 2 subspaces are added for every posting. Table values lie
+    in [0, 1], so a posting whose partial sum is at or below
+    tau_pq*m - (m - m // 2), less a rounding margin, cannot pass; if fewer
+    than half the postings are above it, only those get the other
+    subspaces, else every posting does. Each score adds its subspaces in
+    the same order either way, so the result is bit for bit that of the
+    full scan. The other posting columns are gathered at the hits only.
+    Stopped words have no postings and are skipped by construction. A
+    match's query_index is its keypoint's position in `query`. `table` is
+    `PQScoreTable(pq)`, passed in to build it once per query batch.
     """
     if not 0.0 <= tau_pq < 1.0:
         raise ValueError("tau_pq must be in [0, 1)")
@@ -148,7 +159,21 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
     luts = tables[np.arange(pq.m)[:, None], q_codes.T].reshape(pq.m, live.size * n_centers)
     lut_base = np.repeat(np.arange(0, live.size * n_centers, n_centers), counts)
     scores = np.zeros(pos.shape[0], dtype=np.float64)
-    for j in range(pq.m):
+    half = pq.m // 2
+    for j in range(half):
+        scores += luts[j].take(lut_base + index.codes[j].take(pos))
+    # Table values lie in [0, 1], so each of the m - half subspaces still to
+    # come adds at most 1: a partial sum at or below tau_pq*m - (m - half)
+    # cannot pass. Every partial sum lies in [0, m], so the float64 sums, the
+    # division by m and the bound's own arithmetic round by less than
+    # (m*m + 4*m) * 2**-53 in all; the margin m*m * 2**-43 is at least 200
+    # times that, so the scan never drops a posting the full scan keeps.
+    margin = pq.m * pq.m * 2.0 ** -43
+    alive = scores > tau_pq * pq.m - (pq.m - half) - margin
+    if 2 * np.count_nonzero(alive) < pos.shape[0]:
+        alive = np.flatnonzero(alive)
+        pos, lut_base, scores = pos[alive], lut_base[alive], scores[alive]
+    for j in range(half, pq.m):
         scores += luts[j].take(lut_base + index.codes[j].take(pos))
     scores /= pq.m
 
@@ -195,11 +220,26 @@ def hough_verify(matches: Matches, cfg: HoughConfig | None = None,
     frame's score is its highest bin total, so it never exceeds the frame's
     total match mass and reaches it only when all matches agree on one
     transform.
+
+    The rows are grouped by one stable argsort of the int64 key
+    (frame * K + bin) * Q + query_index, where K is the number of joint bins
+    and Q is the largest query_index plus one. That is the (frame, bin,
+    keypoint) order of a 3-key lexsort, so the sums keep their bits; rows
+    may come in any order. Frame ids and query indices are non-negative.
+
+    Raises:
+        ValueError: the key of the largest frame id would pass 2**63 - 1.
     """
     cfg = cfg or HoughConfig()
     diag = query_diagonal if query_diagonal is not None else FrameGeometry().diagonal
     if not len(matches):
         return {}
+    n_bins = cfg.n_theta_bins * cfg.n_scale_bins * cfg.n_trans_bins
+    n_voters = int(matches.query_index.max()) + 1
+    max_frame = int(matches.frame.max())
+    if (max_frame + 1) * n_bins * n_voters > 2 ** 63:
+        raise ValueError(f"frame ids up to {max_frame} with {n_bins} bins and {n_voters} "
+                         "query keypoints overflow the int64 vote key")
     theta_rel = wrap_angle(matches.qtheta - matches.rtheta)
     log_ratio = matches.qlog_scale - matches.rlog_scale
     scale = np.power(2.0, log_ratio)
@@ -207,17 +247,18 @@ def hough_verify(matches: Matches, cfg: HoughConfig | None = None,
     tx = matches.qx - scale * (cos_t * matches.rx - sin_t * matches.ry)
     ty = matches.qy - scale * (sin_t * matches.rx + cos_t * matches.ry)
     trans_stat = (tx + ty) / (scale * diag)
-    key = ((_theta_bin(theta_rel, cfg.n_theta_bins) * cfg.n_scale_bins
-            + _clipped_bin(log_ratio, *cfg.scale_range, cfg.n_scale_bins)) * cfg.n_trans_bins
-           + _clipped_bin(trans_stat, *cfg.trans_range, cfg.n_trans_bins))
-
-    order = np.lexsort((matches.query_index, key, matches.frame))
-    frame, key, qidx = matches.frame[order], key[order], matches.query_index[order]
+    bin_key = (matches.frame.astype(np.int64) * n_bins
+               + (_theta_bin(theta_rel, cfg.n_theta_bins) * cfg.n_scale_bins
+                  + _clipped_bin(log_ratio, *cfg.scale_range, cfg.n_scale_bins)) * cfg.n_trans_bins
+               + _clipped_bin(trans_stat, *cfg.trans_range, cfg.n_trans_bins))
+    # one stable sort of (frame, bin, keypoint): the order of the 3-key lexsort
+    order = np.argsort(bin_key * n_voters + matches.query_index, kind="stable")
+    frame, bin_key, qidx = matches.frame[order], bin_key[order], matches.query_index[order]
     # rows that start a frame, a (frame, bin) and a (frame, bin, keypoint)
     new_frame = np.ones(frame.shape[0], dtype=bool)
     new_frame[1:] = frame[1:] != frame[:-1]
-    new_bin = new_frame.copy()
-    new_bin[1:] |= key[1:] != key[:-1]
+    new_bin = np.ones(frame.shape[0], dtype=bool)
+    new_bin[1:] = bin_key[1:] != bin_key[:-1]
     new_voter = new_bin.copy()
     new_voter[1:] |= qidx[1:] != qidx[:-1]
     best = np.maximum.reduceat(matches.score[order], np.flatnonzero(new_voter))

@@ -12,7 +12,7 @@ from conftest import load_bench_module
 from frameseek import (BinaryCenters, EngineConfig, FrameGeometry, HoughConfig,
                        PQScoreTable, build_global_index, build_local_index,
                        encode_frame_local, encode_query_local, local_rank,
-                       make_signature, pipeline)
+                       make_signature, pipeline, query_score_mass)
 from frameseek.bits import pack_bits
 from frameseek.storage import (read_local_descriptors, write_codebooks,
                                write_global_index)
@@ -142,3 +142,53 @@ def test_traced_signature_pass_records_time_and_same_outputs(tmp_path):
     for suffix in (".i2vc", ".gidx"):
         assert (tmp_path / f"traced{suffix}").read_bytes() == \
             (tmp_path / f"plain{suffix}").read_bytes()
+
+
+def test_traced_local_query_contract(small_bow, small_pq):
+    """bench/run.py counts a traced query's work from the values the wrapped
+    calls returned: the first `local_query.encode` return, as postings with
+    `.word`, and, whenever `collect_matches` ran, the first
+    `local_query.hough` return. So `local_rank` encodes every query and
+    votes after every scan, through the module attributes: on a query whose
+    every keypoint is stopped, on one with query mass whose postings the
+    scan all prunes, and on a normal one."""
+    tracing = load_bench_module("tracing")
+    gen = np.random.default_rng(33)
+    frames = [(f, f // 2, gen.normal(size=(10, 36)).astype(np.float32)) for f in range(16)]
+    index = build_local_index(encode_frame_local(frames, small_bow, small_pq),
+                              {f: v for f, v, _ in frames}, n_words=small_bow.k,
+                              m=small_pq.m, n_pq_centers=small_pq.n_centers,
+                              prune_fraction=0.2)
+    stopped = small_bow.centers[np.flatnonzero(index.stop_mask)]
+    stopped_rows = np.hstack([gen.uniform(0, 600, (stopped.shape[0], 4)),
+                              stopped]).astype(np.float32)
+    table = PQScoreTable(small_pq)
+    nothing_passes = PQScoreTable(small_pq)
+    nothing_passes.tables = np.zeros_like(table.tables)  # every partial sum is 0
+    queries = {"stopped": (stopped_rows, table), "pruned": (frames[0][2], nothing_passes),
+               "normal": (frames[0][2], table)}
+    assert query_score_mass(encode_query_local(stopped_rows, small_bow, small_pq), index) == 0.0
+    assert query_score_mass(encode_query_local(frames[0][2], small_bow, small_pq), index) > 0.0
+
+    tracer = tracing.Tracer()
+    tracer.install({name: importlib.import_module(name) for name in (
+        "frameseek.pipeline", "frameseek.local_query", "frameseek.global_query",
+        "frameseek.fusion")})
+    try:
+        returns = {}
+        for name, (rows, score_table) in queries.items():
+            local_rank(rows, index, small_bow, small_pq, tau_pq=0.72, top_n=10,
+                       table=score_table)
+            returns[name] = tracer.take_returns()
+    finally:
+        tracer.uninstall()
+    for name, got in returns.items():
+        encoded, = got["local_query.encode"]
+        assert encoded and all(hasattr(posting, "word") for posting in encoded), name
+        if got["local_query.match"]:
+            assert len(got["local_query.match"]) == len(got["local_query.hough"]) == 1, name
+            assert isinstance(got["local_query.hough"][0], dict), name
+    assert not returns["stopped"]["local_query.match"]
+    pruned, = returns["pruned"]["local_query.match"]
+    assert len(pruned) == 0 and returns["pruned"]["local_query.hough"] == [{}]
+    assert len(returns["normal"]["local_query.match"][0]) > 0

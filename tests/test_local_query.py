@@ -7,7 +7,7 @@ import pytest
 from conftest import (MatchCandidate, collect_matches_oracle, hough_verify_oracle,
                       match_rows, matches_from_rows, pq_score)
 from frameseek import (FrameGeometry, HoughConfig, LocalRecord, Matches,
-                       Postings, PQScoreTable, build_local_index, collect_matches,
+                       Postings, PQScoreTable, QueryPosting, build_local_index, collect_matches,
                        encode_frame_local, encode_query_local, hough_verify,
                        local_rank, query_score_mass, records_to_rows,
                        transform_records)
@@ -186,6 +186,60 @@ def test_collect_matches_equals_dict_oracle(small_bow, small_pq, prebuilt_table,
                         collect_matches_oracle([], index, small_pq, **args))
 
 
+@pytest.mark.parametrize("filler_partial", [0.0, 1.0], ids=["most-pruned", "few-pruned"])
+def test_collect_matches_pruning_equals_full_scan_at_the_bound(small_pq, filler_partial):
+    """The scan may drop a posting after m // 2 subspaces only when it cannot
+    pass tau_pq. Hand-set tables put partial sums exactly on the bound
+    tau_pq*m - (m - m // 2), one ulp to either side and 2**-44 to either
+    side (far above rounding, far below 1), with later subspaces scoring 1,
+    just under 1 or less. 1,000 filler postings with partial sum 0 leave
+    fewer than half the postings alive, so the scan compacts; with partial
+    sum 1 more than half stay alive and the scan runs in full. Either way
+    every column equals the full scan's, bit for bit."""
+    m, k, tau = small_pq.m, small_pq.n_centers, 0.72
+    assert (m, k) == (4, 8)
+    bound = tau * m - (m - m // 2)
+    # subspace 1 holds the partial sum of code c (subspace 0 adds 0), and
+    # subspaces 2 and 3 what the code adds after it; code 7 is the filler's
+    partial = [bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0), bound + 2 ** -44,
+               bound - 2 ** -44, 1.0, 0.5, filler_partial]
+    rest = [1.0, np.nextafter(1.0, 0.0), 0.999, 0.5, 0.0, 1.0, 1.0, 1.0]
+    table = PQScoreTable(small_pq)
+    table.tables = np.zeros((m, k, k))
+    for j, row in ((1, partial), (2, rest), (3, rest)):
+        table.tables[j, 0, :] = table.tables[j, :, 0] = row  # query codes are all 0
+
+    n_filler = 1000
+    near = np.array([(c1, c2, c3) for c1 in range(k - 1) for c2 in range(k) for c3 in range(k)])
+    codes = np.zeros((near.shape[0] + n_filler, m), dtype=np.uint8)
+    codes[:near.shape[0], 1:] = near
+    codes[near.shape[0]:, 1] = k - 1
+    n_frames = codes.shape[0] // 8 + 1
+    # word 0 holds the postings; word 1, on as many other frames, gives it idf > 0
+    gen = np.random.default_rng(85)
+    n = codes.shape[0] + n_frames
+    postings = Postings(
+        word=np.repeat([0, 1], [codes.shape[0], n_frames]),
+        codes=np.concatenate([codes, np.zeros((n_frames, m), dtype=np.uint8)]),
+        qx=gen.integers(0, 2 ** 16, n).astype(np.uint16),
+        qy=gen.integers(0, 2 ** 16, n).astype(np.uint16),
+        qtheta=gen.integers(0, 256, n).astype(np.uint8),
+        qscale=gen.integers(0, 256, n).astype(np.uint8),
+        frame=np.concatenate([np.arange(codes.shape[0]) // 8,
+                              n_frames + np.arange(n_frames)]).astype(np.uint32))
+    index = build_local_index(postings, {f: f // 4 for f in range(2 * n_frames)}, n_words=2,
+                              m=m, n_pq_centers=k, prune_fraction=0.0)
+    assert index.idf[0] > 0
+    query = [QueryPosting(word=0, codes=np.zeros(m, dtype=np.uint8), x=x, y=y, theta=0.5,
+                          log_scale=1.0) for x, y in ((100.0, 80.0), (300.0, 200.0))]
+
+    got = collect_matches(query, index, small_pq, tau_pq=tau, table=table)
+    assert_same_matches(got, collect_matches_oracle(query, index, small_pq, tau, table))
+    assert len(got)
+    # not vacuous: a partial sum a hair above the bound passes if the rest score 1
+    assert (0.0 + partial[3] + rest[0] + rest[0]) / m > tau
+
+
 def test_collect_matches_tau_range(small_bow, small_pq):
     index, _ = build_corpus_index(small_bow, small_pq)
     with pytest.raises(ValueError, match="tau_pq"):
@@ -330,6 +384,42 @@ def test_hough_equals_scalar_oracle():
     assert hough_verify(matches_from_rows(shuffled), cfg, query_diagonal=diag) == expected
     assert hough_verify(matches_from_rows(ordered), cfg, query_diagonal=diag) == expected
     assert any(expected[f] == 0.75 for f in range(100, frame))
+
+
+def test_hough_vote_key_cannot_wrap():
+    """The vote sorts one int64 key, (frame * K + bin) * Q + query_index. A
+    frame id whose key would pass 2**63 - 1 raises instead of wrapping; the
+    largest frame id whose key fits, and a uint32 frame id of 2**32 - 1
+    under the default HoughConfig, still vote as the scalar oracle does."""
+    cfg = HoughConfig()
+    n_bins = cfg.n_theta_bins * cfg.n_scale_bins * cfg.n_trans_bins
+    gen = np.random.default_rng(86)
+    n_voters = 5
+
+    def candidates(top_frame):
+        out = []
+        for frame in (0, 7, top_frame):
+            for _ in range(12):
+                rgeom = (gen.uniform(0, 1280), gen.uniform(0, 720),
+                         gen.uniform(-math.pi, math.pi), gen.uniform(-2, 8))
+                qgeom = apply_transform(rgeom, 0.3, 1.25, 40.0, -30.0)
+                if gen.uniform() < 0.3:  # an outlier in another bin
+                    qgeom = (qgeom[0], qgeom[1], qgeom[2] + 2.0, qgeom[3])
+                out.append(candidate(frame, int(gen.integers(0, n_voters)),
+                                     float(gen.uniform(0.1, 1.0)), qgeom, rgeom))
+        out.append(candidate(7, n_voters - 1, 0.5, (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)))
+        return out
+
+    fits = 2 ** 63 // (n_bins * n_voters) - 1  # (fits + 1) * K * Q <= 2**63
+    for top_frame, dtype in ((fits, np.int64), (2 ** 32 - 1, np.uint32)):
+        cands = candidates(top_frame)
+        matches = matches_from_rows([cands[i] for i in gen.permutation(len(cands))])
+        matches.frame = matches.frame.astype(dtype)
+        expected = hough_verify_oracle(sorted(cands, key=lambda c: c.query_index), cfg)
+        assert hough_verify(matches, cfg) == expected
+        assert set(expected) == {0, 7, top_frame}
+    with pytest.raises(ValueError, match="overflow"):
+        hough_verify(matches_from_rows(candidates(fits + 1)), cfg)
 
 
 def test_hough_empty_candidates():
