@@ -32,10 +32,10 @@ print(f"local channel:  top {LOCAL_CURVE[0]:.4f}, 50th {LOCAL_CURVE[-1]:.3f}")
 
 print()
 print("=== 2. adaptive settling points ===")
-global_list = RankedList(entries=[(i, s) for i, s in enumerate(GLOBAL_CURVE)],
-                         channel="global")
-local_list = RankedList(entries=[(1000 + i, s) for i, s in enumerate(LOCAL_CURVE)],
-                        channel="local")
+global_list = RankedList.from_entries([(i, s) for i, s in enumerate(GLOBAL_CURVE)],
+                                      channel="global")
+local_list = RankedList.from_entries([(1000 + i, s) for i, s in enumerate(LOCAL_CURVE)],
+                                     channel="local")
 for name, ranked in (("global", global_list), ("local", local_list)):
     idx, score = settling_point(ranked, cfg)
     print(f"{name}: settles at position {idx} with score {score:.3f}")
@@ -51,8 +51,8 @@ print(f"local:  {len(local_list)} entries -> {len(norm_local)}, "
 
 print()
 print("=== 4. shifting every raw score changes nothing ===")
-shifted = RankedList(entries=[(v, s + 0.3) for v, s in global_list.entries],
-                     channel="global")
+shifted = RankedList.from_entries([(v, s + 0.3) for v, s in global_list.entries],
+                                  channel="global")
 print("normalized outputs equal:",
       normalize_list(shifted, cfg).entries == norm_global.entries)
 

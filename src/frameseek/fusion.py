@@ -30,35 +30,52 @@ class FusionConfig:
 
 @dataclass
 class RankedList:
-    """Descending (video_id, score) pairs for one query and channel."""
+    """One query's videos for one channel as two equal-length columns:
+    distinct video ids (int64) and their non-increasing scores (float64)."""
 
-    entries: list[tuple[int, float]]
+    video: np.ndarray
+    score: np.ndarray
     channel: str = LOCAL
     normalized: bool = False
 
     def __post_init__(self):
-        scores = [s for _, s in self.entries]
-        if any(b > a for a, b in zip(scores, scores[1:])):
+        self.video = np.asarray(self.video, dtype=np.int64)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        if self.video.ndim != 1 or self.video.shape != self.score.shape:
+            raise ValueError("video and score must be 1-d columns of equal length")
+        if (self.score[1:] > self.score[:-1]).any():
             raise ValueError("scores must be non-increasing")
-        ids = [v for v, _ in self.entries]
-        if len(set(ids)) != len(ids):
+        if np.unique(self.video).shape != self.video.shape:
             raise ValueError("duplicate video_id in ranked list")
 
+    @classmethod
+    def from_entries(cls, entries, channel: str = LOCAL, normalized: bool = False):
+        """A ranked list of (video_id, score) pairs, as a run file holds them."""
+        return cls([v for v, _ in entries], [s for _, s in entries], channel, normalized)
+
+    @property
+    def entries(self) -> list[tuple[int, float]]:
+        """The (video_id, score) pairs in rank order, built on each read."""
+        return list(zip(self.video.tolist(), self.score.tolist()))
+
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def scores(self) -> np.ndarray:
-        return np.array([s for _, s in self.entries], dtype=np.float64)
-
-    def video_ids(self) -> list[int]:
-        return [v for v, _ in self.entries]
+        return self.video.shape[0]
 
 
-def rank_videos(scores_by_video: dict[int, float], channel: str, top_n: int) -> RankedList:
-    """Build a ranked list from per-video scores: descending score, ties by
-    ascending video id, truncated to top_n."""
-    items = sorted(scores_by_video.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedList(entries=items[:top_n], channel=channel)
+def rank_videos(video: np.ndarray, score: np.ndarray, channel: str,
+                top_n: int | None) -> RankedList:
+    """Rank the videos of (video, score) rows by each one's best score:
+    descending score, ties by ascending video id, truncated to top_n. A
+    video may have any number of rows; no score is filtered out."""
+    # by (video, -score) a video's first row holds its best score
+    order = np.lexsort((-score, video))
+    video, score = video[order], score[order]
+    first = np.ones(video.shape[0], dtype=bool)
+    first[1:] = video[1:] != video[:-1]
+    video, score = video[first], score[first]
+    # the videos ascend, so a stable sort by -score breaks ties by video id
+    rank = np.argsort(-score, kind="stable")[:top_n]
+    return RankedList(video[rank], score[rank], channel)
 
 
 def settling_point(ranked: RankedList, cfg: FusionConfig | None = None) -> tuple[int, float]:
@@ -72,22 +89,20 @@ def settling_point(ranked: RankedList, cfg: FusionConfig | None = None) -> tuple
     which matches plain last-element normalization.
     """
     cfg = cfg or FusionConfig()
-    if not ranked.entries:
+    s, w = ranked.score, cfg.warmup
+    if not s.shape[0]:
         raise ValueError("empty ranked list has no settling point")
-    s = ranked.scores()
-    n = s.shape[0]
-    for t in range(cfg.warmup, n):
-        if s[t - cfg.warmup] - s[t] < cfg.epsilon / 5.0:
-            return t, float(s[t])
-    return n - 1, float(s[n - 1])
+    settled = np.flatnonzero(s[:max(s.shape[0] - w, 0)] - s[w:] < cfg.epsilon / 5.0)
+    t = int(settled[0]) + w if settled.size else s.shape[0] - 1
+    return t, float(s[t])
 
 
 def normalize_list(ranked: RankedList, cfg: FusionConfig | None = None) -> RankedList:
     """Subtract the settling score; drop entries left at or below zero."""
-    cfg = cfg or FusionConfig()
     _, settle = settling_point(ranked, cfg)
-    entries = [(v, s - settle) for v, s in ranked.entries if s - settle > 0]
-    return RankedList(entries=entries, channel=ranked.channel, normalized=True)
+    score = ranked.score - settle
+    keep = score > 0.0
+    return RankedList(ranked.video[keep], score[keep], ranked.channel, normalized=True)
 
 
 def fuse(local: RankedList, global_: RankedList, cfg: FusionConfig | None = None,
@@ -95,17 +110,15 @@ def fuse(local: RankedList, global_: RankedList, cfg: FusionConfig | None = None
     """Merge two channel lists by per-video maximum of normalized scores.
 
     Lists not yet normalized are normalized here first (empty lists pass
-    through). A video absent from one channel contributes 0 from it.
+    through). A video absent from one channel contributes 0 from it, so
+    only scores above 0 enter the merge.
     """
     cfg = cfg or FusionConfig()
-    merged: dict[int, float] = {}
-    for ranked in (local, global_):
-        if ranked.entries and not ranked.normalized:
-            ranked = normalize_list(ranked, cfg)
-        for video, score in ranked.entries:
-            if score > merged.get(video, 0.0):
-                merged[video] = score
-    items = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_n is not None:
-        items = items[:top_n]
-    return RankedList(entries=items, channel=FUSED, normalized=True)
+    lists = [ranked if ranked.normalized or not len(ranked) else normalize_list(ranked, cfg)
+             for ranked in (local, global_)]
+    video = np.concatenate([ranked.video for ranked in lists])
+    score = np.concatenate([ranked.score for ranked in lists])
+    keep = score > 0.0
+    fused = rank_videos(video[keep], score[keep], FUSED, top_n)
+    fused.normalized = True
+    return fused

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import hamming_to_many
-from .fusion import GLOBAL, RankedList
+from .fusion import GLOBAL, RankedList, rank_videos
 from .global_index import GlobalIndex
 
 
@@ -64,20 +64,14 @@ def global_rank(query_bits: np.ndarray, index: GlobalIndex,
     cfg = cfg or GlobalQueryConfig()
     query_bits = np.asarray(query_bits, dtype=np.uint8)
     if index.n_signatures == 0:
-        return RankedList(entries=[], channel=GLOBAL)
+        return RankedList([], [], GLOBAL)
     k = index.centers.k if cfg.brute_force else cfg.k_probe
     cands = probe_candidates(query_bits, index, k)
     if cands["frame"].size == 0:
-        return RankedList(entries=[], channel=GLOBAL)
+        return RankedList([], [], GLOBAL)
     if cands["codes"].shape[1] != query_bits.shape[0]:
         raise ValueError(f"bit-length mismatch: query has {query_bits.shape[0]} bytes, "
                          f"index has {cands['codes'].shape[1]}")
     dists = hamming_to_many(query_bits, cands["codes"])
     scores = 1.0 - dists.astype(np.float64) / index.n_bits
-    # in (-score, video) order a video's first row holds its best score, and
-    # the first rows come in ranked order: descending score, ties by video
-    order = np.lexsort((cands["video"], -scores))
-    _, first = np.unique(cands["video"][order], return_index=True)
-    best = order[np.sort(first)[:cfg.top_n]]
-    return RankedList(entries=list(zip(cands["video"][best].tolist(), scores[best].tolist())),
-                      channel=GLOBAL)
+    return rank_videos(cands["video"], scores, GLOBAL, cfg.top_n)

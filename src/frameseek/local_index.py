@@ -63,7 +63,8 @@ class LocalIndex:
     doc_freq: np.ndarray  # (n_words,) uint32
     stop_mask: np.ndarray  # (n_words,) bool
     idf: np.ndarray  # (n_words,) float32
-    frame_to_video: dict[int, int]
+    frame_ids: np.ndarray  # (n_frames,) uint32 frame table, ascending
+    video_ids: np.ndarray  # (n_frames,) uint32 video of each frame
     word_offsets: np.ndarray  # (n_words + 1,) int64
     codes: np.ndarray  # (m, n_postings) uint8 PQ codes
     qx: np.ndarray  # (n_postings,) uint16 quantized geometry
@@ -78,7 +79,12 @@ class LocalIndex:
 
     @property
     def n_frames(self) -> int:
-        return len(self.frame_to_video)
+        return self.frame_ids.shape[0]
+
+    @property
+    def frame_to_video(self) -> MappingProxyType:
+        """Read-only {frame_id: video_id} built from the frame table."""
+        return MappingProxyType(dict(zip(self.frame_ids.tolist(), self.video_ids.tolist())))
 
     def n_postings(self) -> int:
         return int(self.word_offsets[-1])
@@ -192,7 +198,8 @@ def build_local_index(postings: Postings, frame_to_video: dict[int, int],
     posting columns, and per-word counts give word_offsets.
 
     Raises:
-        ValueError: empty posting stream, a word outside [0, n_words), or
+        ValueError: empty posting stream, a word outside [0, n_words), a
+            posting whose frame id is not in frame_to_video, or
             prune_fraction outside [0, 0.5).
     """
     if not len(postings):
@@ -217,6 +224,11 @@ def build_local_index(postings: Postings, frame_to_video: dict[int, int],
         stop_mask[stop_order[:n_stop]] = True
 
     n_frames = len(frame_to_video)
+    frame_ids, video_ids = np.array(sorted(frame_to_video.items()),
+                                    dtype=np.uint32).reshape(-1, 2).T
+    unknown = postings.frame[~np.isin(postings.frame, frame_ids)]
+    if unknown.size:
+        raise ValueError(f"posting frame id {unknown[0]} is not in frame_to_video")
     idf = np.log(n_frames / (1.0 + doc_freq.astype(np.float64)))
     idf = np.maximum(idf, 0.0).astype(np.float32)
 
@@ -231,5 +243,5 @@ def build_local_index(postings: Postings, frame_to_video: dict[int, int],
     return LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
                       prune_fraction=prune_fraction, geometry=geometry,
                       doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
-                      frame_to_video=dict(frame_to_video), word_offsets=word_offsets,
+                      frame_ids=frame_ids, video_ids=video_ids, word_offsets=word_offsets,
                       **columns)

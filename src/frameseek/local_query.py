@@ -59,7 +59,7 @@ class Matches:
 
     Every column holds the bits a full m-subspace scan of every posting
     gives; skipping postings that cannot pass tau_pq changes none of them.
-    With no live query keypoint, every column is an empty float64 array.
+    With no match every column is empty, with the dtype given below.
     """
 
     frame: np.ndarray  # (n,) uint32 reference frame ids
@@ -145,7 +145,8 @@ def collect_matches(query: list[QueryPosting], index: LocalIndex, pq: PQModel,
     lo, hi = index.word_offsets[words], index.word_offsets[words + 1]
     live = np.flatnonzero(known & (hi > lo) & (index.idf[words] > 0.0))
     if not live.size:
-        return Matches(*(np.empty(0) for _ in fields(Matches)))
+        return Matches(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64),
+                       *(np.empty(0) for _ in fields(Matches)[2:]))
     live_query = [query[i] for i in live.tolist()]
     lo, counts = lo[live], (hi - lo)[live]
     ends = np.cumsum(counts)
@@ -287,23 +288,23 @@ def local_rank(rows: np.ndarray, index: LocalIndex, bow: KMeansModel,
     """Full local query of one frame's row block: encode, match, verify,
     aggregate to videos.
 
-    A video scores the maximum of its frames' dominant-bin totals, divided
-    by the query's own score mass so results land in [0, 1]. Ties order by
-    ascending video id; the list truncates to top_n.
+    Translations are binned in units of the query frame's diagonal, from
+    `query_geometry` (the index's frame geometry when it is None). Frame
+    scores are divided by the query's own score mass, whatever its size,
+    so results land in [0, 1]; frames left above 0 count, and a video
+    scores the maximum over its frames (`rank_videos`). Ties order by
+    ascending video id; the list truncates to top_n. A query without mass
+    gives an empty list.
     """
     query = encode_query_local(rows, bow, pq)
     mass = query_score_mass(query, index)
     if mass <= 0.0:
-        return RankedList(entries=[], channel=LOCAL)
+        return RankedList([], [], LOCAL)
     matches = collect_matches(query, index, pq, tau_pq, table=table)
     diag = (query_geometry or index.geometry).diagonal
     frame_scores = hough_verify(matches, hough, query_diagonal=diag)
-    videos: dict[int, float] = {}
-    for frame, score in frame_scores.items():
-        if score <= 0.0:
-            continue
-        video = index.frame_to_video[frame]
-        normalized = score / mass
-        if normalized > videos.get(video, 0.0):
-            videos[video] = normalized
-    return rank_videos(videos, LOCAL, top_n)
+    frame = np.fromiter(frame_scores.keys(), dtype=np.uint32)
+    score = np.fromiter(frame_scores.values(), dtype=np.float64) / mass
+    keep = score > 0.0
+    video = index.video_ids[np.searchsorted(index.frame_ids, frame[keep])]
+    return rank_videos(video, score[keep], LOCAL, top_n)

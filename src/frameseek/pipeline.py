@@ -22,7 +22,7 @@ from .codebooks import (CodebookSet, GMMModel, PCAModel, binary_centers_train,
                         gmm_train, kmeans_assign_batch, kmeans_train, pca_fit,
                         pca_project, pq_train)
 from .config import EngineConfig
-from .fusion import FusionConfig, RankedList, fuse
+from .fusion import GLOBAL, LOCAL, FusionConfig, RankedList, fuse
 from .geometry import FrameGeometry
 # make_signature stays importable here: bench/tracing.py wraps it by name
 from .global_index import (GlobalIndex, binarize, build_global_index,  # noqa: F401
@@ -304,13 +304,10 @@ def fuse_runs(local_runs: dict[int, list[tuple[int, float]]],
               config: EngineConfig) -> dict[int, list[tuple[int, float]]]:
     """Normalize and max-merge raw per-query runs from the two channels."""
     cfg = FusionConfig(epsilon=config.epsilon, warmup=config.warmup)
-    out = {}
-    for query in sorted(set(local_runs) | set(global_runs)):
-        local = RankedList(entries=local_runs.get(query, []), channel="local")
-        global_ = RankedList(entries=global_runs.get(query, []), channel="global")
-        fused = fuse(local, global_, cfg, top_n=config.top_n)
-        out[query] = fused.entries
-    return out
+    return {query: fuse(RankedList.from_entries(local_runs.get(query, []), LOCAL),
+                        RankedList.from_entries(global_runs.get(query, []), GLOBAL),
+                        cfg, top_n=config.top_n).entries
+            for query in sorted(set(local_runs) | set(global_runs))}
 
 
 def ranked_to_run(ranked: dict[int, RankedList]) -> dict[int, list[tuple[int, float]]]:

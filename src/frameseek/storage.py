@@ -375,85 +375,33 @@ def write_local_descriptors(frames: list[tuple[int, int, np.ndarray]],
                         "frame {frame} rows have shape {shape}, expected (n, {width})")
 
 
-def _read_local_text(path: Path) -> list[tuple[int, int, np.ndarray]]:
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
-    frames: dict[int, tuple[int, list[list[float]]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2 + LOCAL_ROW_WIDTH:
-            raise FileFormatError(f"{path}:{lineno}: expected {2 + LOCAL_ROW_WIDTH} fields, "
-                                  f"found {len(fields)}")
-        try:
-            frame_id, video_id = int(fields[0]), int(fields[1])
-            row = [float(v) for v in fields[2:]]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not (0 <= frame_id <= _U32_MAX and 0 <= video_id <= _U32_MAX):
-            raise FileFormatError(f"{path}:{lineno}: id outside [0, 2^32)")
-        first_video, rows = frames.setdefault(frame_id, (video_id, []))
-        if first_video != video_id:
-            raise FileFormatError(f"{path}:{lineno}: frame {frame_id} has video ids "
-                                  f"{first_video} and {video_id}")
-        rows.append(row)
-    # text that overflows float32 becomes inf here, which the test rejects
-    with np.errstate(over="ignore"):
-        return [(fid, vid, _finite_rows(path, fid, np.array(rows, dtype=np.float32)))
-                for fid, (vid, rows) in frames.items()]
-
-
-def _local_is_text(path: Path) -> bool:
-    """Whether an LDSC file is the text variant: it lacks the binary magic."""
-    try:
-        with path.open("rb") as fh:
-            return fh.read(4) != MAGIC_LOCAL_DESC
-    except OSError as exc:
-        raise FileFormatError(f"{path}: cannot read file ({exc})") from exc
-
-
 def stream_local_descriptors(path: str | Path):
     """The frames of an LDSC file as read_local_descriptors returns them,
-    one at a time. The binary variant is read in chunks of about
-    READ_CHUNK_BYTES, and each frame's rows are a read-only view of its
-    chunk; the text variant is parsed whole.
+    one at a time, read in chunks of about READ_CHUNK_BYTES; each frame's
+    rows are a read-only view of its chunk.
 
     Raises:
         FileFormatError: a malformed file, or a value that is not finite
             as float32, once the stream reaches it.
     """
-    path = Path(path)
-    if _local_is_text(path):
-        yield from _read_local_text(path)
-    else:
-        yield from _stream_frame_blocks(path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
+    return _stream_frame_blocks(Path(path), MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
 
 
 def scan_local_descriptors(path: str | Path) -> list[tuple[int, int, int]]:
     """(frame_id, video_id, row count) of every frame of an LDSC file, in
-    file order; a binary file is read by its frame headers alone.
+    file order, read by its frame headers alone.
 
     Raises:
-        FileFormatError: a malformed binary file; a malformed text file or
-            a non-finite value in one.
+        FileFormatError: a malformed file.
     """
-    path = Path(path)
-    if _local_is_text(path):
-        return [(fid, vid, rows.shape[0]) for fid, vid, rows in _read_local_text(path)]
-    return _scan_frame_blocks(path, MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
+    return _scan_frame_blocks(Path(path), MAGIC_LOCAL_DESC, LOCAL_ROW_WIDTH)
 
 
 def read_local_descriptors(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
-    """Read an LDSC file (binary, or the line-oriented text variant) as
-    (frame_id, video_id, rows) triples in file order. `rows` is the frame's
-    (n, 132) float32 block [x, y, theta, log_scale, d0..d127]; in the binary
-    variant it is a read-only, aligned view of the chunk of the file that
-    holds it (`stream_local_descriptors`). In the text variant the lines of
-    one frame id form one frame.
+    """Read an LDSC file as (frame_id, video_id, rows) triples in file
+    order. `rows` is the frame's (n, 132) float32 block [x, y, theta,
+    log_scale, d0..d127], a read-only, aligned view of the chunk of the file
+    that holds it (`stream_local_descriptors`).
 
     Raises:
         FileFormatError: a malformed file, or a value that is not finite
@@ -526,9 +474,8 @@ def write_local_index(index: LocalIndex, path: str | Path) -> None:
     out.write(struct.pack("<f", index.prune_fraction))
     out.write(struct.pack("<I", index.n_frames))
     out.write(struct.pack("<ff", index.geometry.width, index.geometry.height))
-    frame_ids = np.array(sorted(index.frame_to_video), dtype="<u4")
-    out.write(_u32_bytes(frame_ids))
-    out.write(_u32_bytes(np.array([index.frame_to_video[int(f)] for f in frame_ids], dtype="<u4")))
+    out.write(_u32_bytes(index.frame_ids))
+    out.write(_u32_bytes(index.video_ids))
     out.write(np.packbits(index.stop_mask.astype(np.uint8), bitorder="little").tobytes())
     out.write(_f32_bytes(index.idf))
     out.write(_u32_bytes(index.doc_freq))
@@ -553,8 +500,9 @@ def read_local_index(path: str | Path) -> LocalIndex:
     width, height = r.f32(), r.f32()
     frame_ids = r.array("<u4", n_frames)
     video_ids = r.array("<u4", n_frames)
-    table_ids = np.unique(frame_ids)
-    if table_ids.shape[0] != n_frames:
+    table = np.argsort(frame_ids, kind="stable")
+    frame_ids, video_ids = frame_ids[table], video_ids[table]
+    if np.any(frame_ids[1:] == frame_ids[:-1]):
         raise FileFormatError(f"{r.path}: repeated frame id in the frame table")
     mask_bytes = r.array(np.uint8, packed_length(n_words))
     stop_mask = np.unpackbits(mask_bytes, bitorder="little")[:n_words].astype(bool)
@@ -570,7 +518,7 @@ def read_local_index(path: str | Path) -> LocalIndex:
     columns = {name: np.frombuffer(view, dtype).astype(POSTING_DTYPES[name])
                for name, (view, dtype) in views.items()}
     columns["codes"] = columns["codes"].reshape(m, n_postings)
-    unknown = columns["frame"][~np.isin(columns["frame"], table_ids)]
+    unknown = columns["frame"][~np.isin(columns["frame"], frame_ids)]
     if unknown.size:
         raise FileFormatError(f"{r.path}: posting frame id {unknown[0]} is not in the "
                               "frame table")
@@ -578,8 +526,7 @@ def read_local_index(path: str | Path) -> LocalIndex:
                       prune_fraction=float(prune_fraction),
                       geometry=FrameGeometry(width=float(width), height=float(height)),
                       doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
-                      frame_to_video=dict(zip(frame_ids.tolist(), video_ids.tolist())),
-                      word_offsets=word_offsets, **columns)
+                      frame_ids=frame_ids, video_ids=video_ids, word_offsets=word_offsets, **columns)
 
 
 # --- global index (GIDX) --------------------------------------------------

@@ -14,7 +14,6 @@ from frameseek import (EngineConfig, FrameGeometry, GlobalIndex, HoughConfig,
                        wrap_angle)
 from frameseek.bits import packed_length
 from frameseek.codebooks import _row_spans, gmm_log_posteriors
-from frameseek.fusion import GLOBAL, RankedList, rank_videos
 from frameseek.geometry import dequantize_log_scale, dequantize_theta
 from frameseek.local_index import DESCRIPTOR_DIM, POSTING_DTYPES
 
@@ -136,7 +135,9 @@ def build_local_index_oracle(postings, frame_to_video, n_words, m, n_pq_centers,
     index = LocalIndex(n_words=n_words, m=m, n_pq_centers=n_pq_centers,
                        prune_fraction=prune_fraction, geometry=geometry,
                        doc_freq=doc_freq, stop_mask=stop_mask, idf=idf,
-                       frame_to_video=dict(frame_to_video),
+                       frame_ids=np.array(sorted(frame_to_video), dtype=np.uint32),
+                       video_ids=np.array([frame_to_video[f] for f in sorted(frame_to_video)],
+                                          dtype=np.uint32),
                        word_offsets=np.concatenate([[0], np.cumsum(counts)]),
                        **{**columns, "codes": np.ascontiguousarray(columns["codes"].T)})
     return index, lists
@@ -182,7 +183,8 @@ def collect_matches_oracle(query, index, pq, tau_pq=0.72, table=None):
     positions = [i for i, p in enumerate(query)
                  if p.word in index.postings and index.idf[p.word] > 0.0]
     if not positions:
-        return Matches(*(np.empty(0) for _ in fields(Matches)))
+        return Matches(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64),
+                       *(np.empty(0) for _ in range(len(fields(Matches)) - 2)))
     live = [query[i] for i in positions]
     ranges = [index.postings[p.word] for p in live]
     row = np.repeat(np.arange(len(live)), [r["frame"].shape[0] for r in ranges])
@@ -469,9 +471,10 @@ def build_global_index_oracle(signatures, centers, n_gmm_components=0):
 
 def global_rank_oracle(query_bits, index, cfg):
     """Score each probed candidate with the scalar Hamming similarity, keep
-    every video's best score in a dict, and rank by (-score, video)."""
+    every video's best score in a dict, and rank by (-score, video): the
+    (video, score) entries."""
     if index.n_signatures == 0:
-        return RankedList(entries=[], channel=GLOBAL)
+        return []
     k = index.centers.k if cfg.brute_force else cfg.k_probe
     cands = probe_candidates(query_bits, index, k)
     videos = {}
@@ -479,4 +482,27 @@ def global_rank_oracle(query_bits, index, cfg):
         score = hamming_score(code, query_bits, index.n_bits)
         if score > videos.get(video, -1.0):
             videos[video] = score
-    return rank_videos(videos, GLOBAL, cfg.top_n)
+    return sorted(videos.items(), key=lambda kv: (-kv[1], kv[0]))[:cfg.top_n]
+
+
+# --- dict-based settling cut and merge, kept as the fusion oracle -------------
+
+def fuse_oracle(local, global_, cfg, top_n=None):
+    """Normalize each (video, score) entry list that is not yet normalized
+    with a scalar settling-point loop, merge into a dict by per-video
+    maximum above 0, and rank by (-score, video): the fused entries. An
+    input is (entries, normalized)."""
+    merged = {}
+    for entries, normalized in (local, global_):
+        if entries and not normalized:
+            scores = [s for _, s in entries]
+            settle = scores[-1]
+            for t in range(cfg.warmup, len(scores)):
+                if scores[t - cfg.warmup] - scores[t] < cfg.epsilon / 5.0:
+                    settle = scores[t]
+                    break
+            entries = [(v, s - settle) for v, s in entries if s - settle > 0]
+        for video, score in entries:
+            if score > merged.get(video, 0.0):
+                merged[video] = score
+    return sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]

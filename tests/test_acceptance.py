@@ -197,8 +197,8 @@ def test_criterion_4_approximate_hamming_search(tmp_path):
 # -- criterion 5: settling points on the published curves ------------------------
 
 def test_criterion_5_fusion_settling_points():
-    g = RankedList(entries=[(i, s) for i, s in enumerate(GLOBAL_CURVE)], channel="global")
-    l = RankedList(entries=[(i, s) for i, s in enumerate(LOCAL_CURVE)], channel="local")
+    g = RankedList.from_entries([(i, s) for i, s in enumerate(GLOBAL_CURVE)], channel="global")
+    l = RankedList.from_entries([(i, s) for i, s in enumerate(LOCAL_CURVE)], channel="local")
     g_idx, g_score = settling_point(g)
     l_idx, l_score = settling_point(l)
     curves_ok = (g_idx, round(g_score, 3)) == (30, 0.656) and \
@@ -210,12 +210,12 @@ def test_criterion_5_fusion_settling_points():
         n = int(gen.integers(2, 80))
         scores = np.sort(gen.uniform(0, 2, size=n))[::-1]
         shift = float(gen.uniform(-10, 10))
-        base = RankedList(entries=[(i, float(s)) for i, s in enumerate(scores)])
-        moved = RankedList(entries=[(i, float(s + shift)) for i, s in enumerate(scores)])
+        base = RankedList.from_entries([(i, float(s)) for i, s in enumerate(scores)])
+        moved = RankedList.from_entries([(i, float(s + shift)) for i, s in enumerate(scores)])
         ia, _ = settling_point(base)
         ib, _ = settling_point(moved)
-        na = normalize_list(base).scores()
-        nb = normalize_list(moved).scores()
+        na = normalize_list(base).score
+        nb = normalize_list(moved).score
         if ia != ib or na.shape != nb.shape or not np.allclose(na, nb, atol=1e-9):
             shift_ok = False
             break

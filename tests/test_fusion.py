@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fuse_oracle
 from frameseek import FusionConfig, RankedList, fuse, normalize_list, settling_point
 
 # Top-50 confidence curves of the two channels, transcribed from the source
@@ -23,8 +26,8 @@ LOCAL_CURVE = [
 
 
 def as_list(scores, channel="global"):
-    return RankedList(entries=[(i, float(s)) for i, s in enumerate(scores)],
-                      channel=channel)
+    return RankedList.from_entries([(i, float(s)) for i, s in enumerate(scores)],
+                                   channel=channel)
 
 
 def test_settling_point_global_curve():
@@ -53,7 +56,7 @@ def test_settling_point_short_list_settles_at_last():
 
 def test_settling_point_empty_list_errors():
     with pytest.raises(ValueError, match="empty"):
-        settling_point(RankedList(entries=[]))
+        settling_point(RankedList.from_entries([]))
 
 
 def test_normalize_all_equal_gives_empty():
@@ -71,8 +74,8 @@ def test_normalize_shift_invariance_constant():
     shifted = as_list([s + 0.3 for s in GLOBAL_CURVE])
     a = normalize_list(base)
     b = normalize_list(shifted)
-    assert a.video_ids() == b.video_ids()
-    np.testing.assert_allclose(a.scores(), b.scores(), atol=1e-12)
+    assert a.video.tolist() == b.video.tolist()
+    np.testing.assert_allclose(a.score, b.score, atol=1e-12)
 
 
 def test_normalize_shift_invariance_random_lists():
@@ -86,18 +89,18 @@ def test_normalize_shift_invariance_random_lists():
         ia, _ = settling_point(base)
         ib, _ = settling_point(moved)
         assert ia == ib
-        np.testing.assert_allclose(normalize_list(base).scores(),
-                                   normalize_list(moved).scores(), atol=1e-9)
+        np.testing.assert_allclose(normalize_list(base).score,
+                                   normalize_list(moved).score, atol=1e-9)
 
 
 def test_normalize_drops_nonpositive_scores():
     out = normalize_list(as_list(GLOBAL_CURVE))
-    assert np.all(out.scores() > 0)
+    assert np.all(out.score > 0)
     assert len(out) < len(GLOBAL_CURVE)
 
 
 def test_fuse_empty_local_returns_normalized_global():
-    local = RankedList(entries=[], channel="local")
+    local = RankedList.from_entries([], channel="local")
     fused = fuse(local, as_list(GLOBAL_CURVE))
     expected = normalize_list(as_list(GLOBAL_CURVE))
     assert fused.entries == expected.entries
@@ -105,28 +108,28 @@ def test_fuse_empty_local_returns_normalized_global():
 
 
 def test_fuse_max_with_absence():
-    local = RankedList(entries=[], channel="local", normalized=True)
-    global_ = RankedList(entries=[(7, 0.119)], channel="global", normalized=True)
+    local = RankedList.from_entries([], channel="local", normalized=True)
+    global_ = RankedList.from_entries([(7, 0.119)], channel="global", normalized=True)
     fused = fuse(local, global_)
     assert fused.entries == [(7, 0.119)]
 
 
 def test_fuse_hand_case_three_videos():
     # A=0.5 local only, B=max(0.2, 0.4), C=0.1 global only
-    local = RankedList(entries=[(1, 0.5), (2, 0.2)], channel="local", normalized=True)
-    global_ = RankedList(entries=[(2, 0.4), (3, 0.1)], channel="global", normalized=True)
+    local = RankedList.from_entries([(1, 0.5), (2, 0.2)], channel="local", normalized=True)
+    global_ = RankedList.from_entries([(2, 0.4), (3, 0.1)], channel="global", normalized=True)
     fused = fuse(local, global_)
     assert fused.entries == [(1, 0.5), (2, 0.4), (3, 0.1)]
 
 
 def test_fuse_commutative():
     gen = np.random.default_rng(5)
-    a = RankedList(entries=[(i, float(s)) for i, s in
-                            enumerate(np.sort(gen.uniform(0, 1, 20))[::-1])],
-                   channel="local", normalized=True)
-    b = RankedList(entries=[(i + 10, float(s)) for i, s in
-                            enumerate(np.sort(gen.uniform(0, 1, 20))[::-1])],
-                   channel="global", normalized=True)
+    a = RankedList.from_entries([(i, float(s)) for i, s in
+                                 enumerate(np.sort(gen.uniform(0, 1, 20))[::-1])],
+                                channel="local", normalized=True)
+    b = RankedList.from_entries([(i + 10, float(s)) for i, s in
+                                 enumerate(np.sort(gen.uniform(0, 1, 20))[::-1])],
+                                channel="global", normalized=True)
     assert fuse(a, b).entries == fuse(b, a).entries
 
 
@@ -137,26 +140,50 @@ def test_fuse_dominates_each_channel():
     scores = dict(fused.entries)
     for video, score in local.entries + global_.entries:
         assert scores[video] >= score
-    assert np.all(fused.scores() >= 0)
+    assert np.all(fused.score >= 0)
 
 
 def test_fuse_both_empty_gives_empty():
-    fused = fuse(RankedList(entries=[], channel="local"),
-                 RankedList(entries=[], channel="global"))
+    fused = fuse(RankedList.from_entries([], channel="local"),
+                 RankedList.from_entries([], channel="global"))
     assert fused.entries == [] and fused.channel == "fused"
 
 
 def test_fuse_tie_break_ascending_video_id():
-    a = RankedList(entries=[(9, 0.5), (2, 0.3)], channel="local", normalized=True)
-    b = RankedList(entries=[(4, 0.5)], channel="global", normalized=True)
+    a = RankedList.from_entries([(9, 0.5), (2, 0.3)], channel="local", normalized=True)
+    b = RankedList.from_entries([(4, 0.5)], channel="global", normalized=True)
     assert fuse(a, b).entries == [(4, 0.5), (9, 0.5), (2, 0.3)]
+
+
+# a few values, some within epsilon / 5 of each other, so that lists hold
+# ties, flat runs and scores at or below 0
+ORACLE_SCORES = [1.0, 0.75, 0.7995, 0.7990, 0.5, 0.25, 0.0, -0.25]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), warmup=st.sampled_from([1, 2, 3, 5]),
+       top_n=st.sampled_from([None, 1, 3, 8]))
+def test_fuse_equals_dict_oracle(data, warmup, top_n):
+    """fuse gives the dict-based settling cut and merge's entries exactly,
+    for lists of 0 to warmup + 5 entries, normalized or not."""
+    cfg = FusionConfig(epsilon=0.01, warmup=warmup)
+    lists = []
+    for _ in range(2):
+        n = data.draw(st.integers(0, warmup + 5))
+        videos = data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n, unique=True))
+        scores = sorted(data.draw(st.lists(st.sampled_from(ORACLE_SCORES), min_size=n,
+                                           max_size=n)), reverse=True)
+        lists.append((list(zip(videos, scores)), data.draw(st.booleans())))
+    local, global_ = (RankedList.from_entries(entries, channel, normalized)
+                      for (entries, normalized), channel in zip(lists, ("local", "global")))
+    assert fuse(local, global_, cfg, top_n=top_n).entries == fuse_oracle(*lists, cfg, top_n)
 
 
 def test_ranked_list_validation():
     with pytest.raises(ValueError, match="non-increasing"):
-        RankedList(entries=[(1, 0.2), (2, 0.5)])
+        RankedList.from_entries([(1, 0.2), (2, 0.5)])
     with pytest.raises(ValueError, match="duplicate"):
-        RankedList(entries=[(1, 0.5), (1, 0.4)])
+        RankedList.from_entries([(1, 0.5), (1, 0.4)])
 
 
 def test_fusion_config_validation():

@@ -258,6 +258,15 @@ def test_prune_fraction_range_validated():
                           prune_fraction=-0.1)
 
 
+def test_posting_of_a_frame_outside_the_frame_table_rejected():
+    """A frame's video comes from the frame table, so a posting of a frame
+    the table lacks is an error at build time, as LIDX reading makes it."""
+    postings = [simple_posting(0, 0), simple_posting(1, 7)]
+    with pytest.raises(ValueError, match="posting frame id 7 is not in frame_to_video"):
+        build_local_index(postings_from_rows(postings), {0: 0, 1: 0}, n_words=4, m=4,
+                          n_pq_centers=8, prune_fraction=0.0)
+
+
 def test_empty_posting_stream_rejected():
     with pytest.raises(ValueError, match="no postings"):
         build_local_index(postings_from_rows([]), {}, n_words=4, m=4, n_pq_centers=8)

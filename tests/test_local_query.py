@@ -11,6 +11,7 @@ from frameseek import (FrameGeometry, HoughConfig, LocalRecord, Matches,
                        encode_frame_local, encode_query_local, hough_verify,
                        local_rank, query_score_mass, records_to_rows,
                        transform_records)
+from frameseek import local_query
 from frameseek.local_query import _theta_bin
 
 
@@ -247,13 +248,27 @@ def test_collect_matches_tau_range(small_bow, small_pq):
 
 
 def test_collect_matches_stopped_word_silently_skipped(small_bow, small_pq):
+    """No match with every keypoint on a stopped word. That empty result,
+    and those with every posting pruned after m // 2 subspaces or scored in
+    full without passing tau_pq, has the column dtypes of a non-empty one."""
     index, frames = build_corpus_index(small_bow, small_pq, prune=0.2)
     stopped = int(np.flatnonzero(index.stop_mask)[0])
     fid, vid, records = frames[0]
+    live = encode_query_local(records, small_bow, small_pq)
+    found = collect_matches(live, index, small_pq, tau_pq=0.72)
+    assert len(found)
     query = encode_query_local(records, small_bow, small_pq)
     for posting in query:
         posting.word = stopped  # force every posting onto a pruned word
-    assert len(collect_matches(query, index, small_pq, tau_pq=0.5)) == 0
+    empties = [collect_matches(query, index, small_pq, tau_pq=0.5)]
+    table = PQScoreTable(small_pq)
+    for value in (0.0, 0.5):  # partial sums 0 are all pruned; full sums 0.5 all fail
+        table.tables = np.full_like(table.tables, value)
+        empties.append(collect_matches(live, index, small_pq, tau_pq=0.72, table=table))
+    for empty in empties:
+        assert len(empty) == 0
+        assert [getattr(empty, f.name).dtype for f in fields(Matches)] == \
+            [getattr(found, f.name).dtype for f in fields(Matches)]
 
 
 # --- hough_verify ------------------------------------------------------------------
@@ -486,8 +501,64 @@ def test_local_rank_order_invariant_under_idf_rescale(small_bow, small_pq):
     before = local_rank(records, index, small_bow, small_pq, tau_pq=0.5, top_n=20)
     index.idf = index.idf * 7.5
     after = local_rank(records, index, small_bow, small_pq, tau_pq=0.5, top_n=20)
-    assert before.video_ids() == after.video_ids()
+    assert before.video.tolist() == after.video.tolist()
 
+
+def word_rows(bow, words, xy, theta=0.0, log_scale=1.0):
+    """Query or reference rows: keypoint i at xy[i] with the descriptor of
+    word words[i]'s center, so it gets that word and its equals' PQ codes."""
+    n = len(words)
+    return np.column_stack([np.asarray(xy, dtype=np.float64), np.full(n, theta),
+                            np.full(n, log_scale), bow.centers[list(words)]]).astype(np.float32)
+
+
+def word_index(bow, pq, frames, geometry=None):
+    """Local index, without stop words, of (frame, video, rows) triples."""
+    postings = encode_frame_local(frames, bow, pq, geometry)
+    return build_local_index(postings, {f: v for f, v, _ in frames}, n_words=bow.k, m=pq.m,
+                             n_pq_centers=pq.n_centers, prune_fraction=0.0, geometry=geometry)
+
+
+def test_local_rank_bins_translation_by_the_query_diagonal(small_bow, small_pq):
+    """Translations are binned in units of the query_geometry diagonal. Two
+    groups of three matches, 250 px apart in x, share a bin at the 5,000 px
+    diagonal of a 4000 x 3000 query frame (0.05 diagonals) but not at the
+    500 px diagonal of the 400 x 300 index frames (0.5 diagonals), which the
+    query falls back to without query_geometry."""
+    ref_xy = [(100, 100), (150, 150), (200, 200), (120, 200), (170, 250), (220, 120)]
+    frames = [(0, 0, word_rows(small_bow, range(6), ref_xy))]
+    frames += [(f, f, word_rows(small_bow, [6], [(50, 50)])) for f in range(1, 10)]
+    index = word_index(small_bow, small_pq, frames, FrameGeometry(400.0, 300.0))
+    query = word_rows(small_bow, range(6), ref_xy[:3] + [(x + 250, y) for x, y in ref_xy[3:]])
+    args = dict(tau_pq=0.72, top_n=10)
+    ranked = local_rank(query, index, small_bow, small_pq,
+                        query_geometry=FrameGeometry(4000.0, 3000.0), **args)
+    assert ranked.entries == [(0, pytest.approx(1.0, abs=1e-9))]
+    fallback = local_rank(query, index, small_bow, small_pq, **args)
+    assert fallback.entries == [(0, pytest.approx(0.5, abs=1e-9))]
+
+
+def test_local_rank_divides_by_a_query_mass_below_one(small_bow, small_pq):
+    """A frame's score is divided by the query's score mass even below 1:
+    one keypoint whose word has idf ln(4 / 2) < 1 finds its own frame at
+    exactly 1.0."""
+    frames = [(0, 0, word_rows(small_bow, [0], [(100, 100)]))]
+    frames += [(f, f, word_rows(small_bow, [1], [(50, 50)])) for f in range(1, 4)]
+    index = word_index(small_bow, small_pq, frames)
+    assert 0.0 < index.idf[0] < 1.0
+    ranked = local_rank(frames[0][2], index, small_bow, small_pq, tau_pq=0.72, top_n=10)
+    assert ranked.entries == [(0, 1.0)]
+
+
+
+def test_local_rank_drops_frames_scoring_zero(small_bow, small_pq, monkeypatch):
+    """Only frames scoring above 0 count. Every real match scores above
+    tau_pq >= 0, so a stand-in vote gives frame 0 (video 0) a score of 0
+    and frame 4 (video 1) a positive one."""
+    index, frames = build_corpus_index(small_bow, small_pq)
+    monkeypatch.setattr(local_query, "hough_verify", lambda *args, **kwargs: {0: 0.0, 4: 0.25})
+    ranked = local_rank(frames[0][2], index, small_bow, small_pq, top_n=10)
+    assert ranked.video.tolist() == [1]
 
 def test_local_rank_deterministic(small_bow, small_pq):
     index, frames = build_corpus_index(small_bow, small_pq)
